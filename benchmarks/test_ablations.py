@@ -12,6 +12,7 @@ from benchmarks.conftest import emit
 from repro.analysis.tables import format_table
 from repro.baselines.naive import naive_config
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from repro.host import setup_c
 from repro.runtime.executor import ModelConsumer, run_pipeline
 from repro.workloads import get_workload
@@ -40,13 +41,16 @@ def run_pass_ablation():
         ("parallelism", "prefetch"),
         ("parallelism", "prefetch", "cache"),
     ):
-        plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.4)
+        plumber = Plumber(machine,
+                          spec=OptimizeSpec(trace_duration=1.5,
+                                            trace_warmup=0.4))
         tuned = plumber.optimize(base, passes=passes).pipeline
         results["+".join(p[:5] for p in passes)] = measure(tuned)
 
     # One iteration vs two (the paper defaults to 2 "so that estimated
     # rates more closely reflect the final pipeline").
-    plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     results["full@1iter"] = measure(
         plumber.optimize(base, iterations=1).pipeline
     )
@@ -83,7 +87,8 @@ def test_ablation_steady_state_cache_lp(once):
     pipe = insert_cache_after(
         naive_config(wl.build(scale=SCALE)), "map_parse"
     )
-    plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     model = once(plumber.model, pipe)
 
     with_semantics = solve_allocation(model)

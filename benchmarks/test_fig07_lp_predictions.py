@@ -13,6 +13,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.experiments import sequential_tuning
 from repro.analysis.tables import format_table
+from repro.core.spec import OptimizeSpec
 from repro.host import setup_a, setup_b
 from repro.workloads import get_workload
 
@@ -72,7 +73,8 @@ def test_fig07_autotune_unbounded(once):
 
     machine = setup_a()
     pipe = get_workload("resnet").build(scale=SCALE)
-    plumber = Plumber(machine, trace_duration=1.2, trace_warmup=0.3)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.2, trace_warmup=0.3))
     model = once(plumber.model, pipe)
     tuner = AutotuneTuner(machine)
     inflated = tuner.predict_throughput(

@@ -14,6 +14,7 @@ from repro.analysis.experiments import sequential_tuning
 from repro.analysis.tables import format_table
 from repro.core.bottleneck import throughput_estimates
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from repro.host import setup_a
 from repro.workloads import get_workload
 
@@ -69,7 +70,9 @@ def test_fig09_bottleneck_is_sequential_stage(once):
 
     def analyze(name):
         pipe = get_workload(name).build(scale=SCALE)
-        plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.5)
+        plumber = Plumber(machine,
+                          spec=OptimizeSpec(trace_duration=1.5,
+                                            trace_warmup=0.5))
         return plumber.model(pipe)
 
     t_model = once(analyze, "transformer")

@@ -14,6 +14,7 @@ from repro.baselines.naive import naive_config
 from repro.core.bottleneck import rank_bottlenecks
 from repro.core.plumber import Plumber
 from repro.core.rewriter import set_parallelism
+from repro.core.spec import OptimizeSpec
 from repro.host import setup_a
 from repro.workloads import get_workload
 
@@ -26,7 +27,8 @@ SCALE = 0.25
 
 def run_experiment():
     machine = setup_a()
-    plumber = Plumber(machine, trace_duration=2.0, trace_warmup=0.6)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=2.0, trace_warmup=0.6))
     current = naive_config(get_workload("ssd").build(scale=SCALE))
     history = []
     for _ in range(STEPS):

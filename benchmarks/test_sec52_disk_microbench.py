@@ -15,6 +15,7 @@ from repro.analysis.tables import format_table
 from repro.core.disk_planner import io_bound_throughput
 from repro.core.plumber import Plumber
 from repro.core.rewriter import set_parallelism
+from repro.core.spec import OptimizeSpec
 from repro.host import setup_b
 from repro.host.disk import hdd_st4000, nvme_p3600, token_bucket
 from repro.runtime.executor import run_pipeline
@@ -37,7 +38,9 @@ def run_token_bucket_sweep():
     results = []
     for mbps in (50, 100, 200, 300, 500):
         pipe, m = _tuned_resnet(machine, token_bucket(mbps * MB))
-        plumber = Plumber(m, trace_duration=10.0, trace_warmup=4.0)
+        plumber = Plumber(m,
+                          spec=OptimizeSpec(trace_duration=10.0,
+                                            trace_warmup=4.0))
         model = plumber.model(pipe)
         predicted = io_bound_throughput(model.bytes_per_minibatch, mbps * MB)
         observed = model.observed_throughput
@@ -73,7 +76,8 @@ def test_sec52_io_load_arithmetic(once):
     """"6.9 minibatches per 100MB/s" for 128 x ~110KB records."""
     pipe = get_workload("resnet").build(scale=SCALE)
     machine = setup_b().with_disk(token_bucket(100 * MB))
-    plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     model = once(plumber.model, pipe)
     assert model.bytes_per_minibatch == pytest.approx(128 * 115e3, rel=0.05)
     assert io_bound_throughput(model.bytes_per_minibatch, 100 * MB) == (
@@ -115,7 +119,8 @@ def test_sec52_hdd_and_nvme(once):
 def test_sec52_ssd_more_io_bound_than_rcnn(once):
     """Same dataset and batch size -> same I/O load per minibatch, but
     MultiBoxSSD's faster CPU side makes it far more I/O-sensitive."""
-    plumber = Plumber(setup_b(), trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(setup_b(),
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     ssd_model = once(
         plumber.model, get_workload("ssd").build(scale=SCALE)
     )

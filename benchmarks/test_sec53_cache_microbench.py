@@ -17,6 +17,7 @@ from repro.analysis.tables import format_table
 from repro.core.cache_planner import plan_cache_greedy
 from repro.core.plumber import Plumber
 from repro.core.rewriter import set_parallelism
+from repro.core.spec import OptimizeSpec
 from repro.host import setup_b, setup_c
 from repro.io.catalogs import (
     coco_catalog,
@@ -37,7 +38,9 @@ SCALE = 1.0  # size estimation runs on the FULL catalogs
 
 def _model(build_fn, machine, duration=3.0, parallelism=8, **kwargs):
     pipe = build_fn(parallelism=parallelism, **kwargs)
-    plumber = Plumber(machine, trace_duration=duration, trace_warmup=0.5)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=duration,
+                                        trace_warmup=0.5))
     return plumber.model(pipe)
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from repro.fleet.analysis import speedup_distribution
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 from repro.service import BatchOptimizer
@@ -33,11 +34,8 @@ SEED = 7
 #: spans naive/partial/tuned configurations
 DOMAINS = FleetConfig(domain_weights={"vision": 1.0})
 
-SERVICE_KWARGS = dict(
-    iterations=1,
-    trace_duration=3.0,
-    trace_warmup=0.5,
-)
+SERVICE_SPEC = OptimizeSpec(iterations=1, trace_duration=3.0,
+                            trace_warmup=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,7 @@ def fleet():
 
 @pytest.fixture(scope="module")
 def report(fleet):
-    svc = BatchOptimizer(executor="thread", max_workers=4, **SERVICE_KWARGS)
+    svc = BatchOptimizer(executor="thread", max_workers=4, spec=SERVICE_SPEC)
     return svc.optimize_fleet(fleet)
 
 
@@ -70,13 +68,8 @@ class TestServiceBatch:
         """Determinism: the pool + cache path reproduces serial optimize
         exactly, decision log and throughputs included."""
         for job in fleet[:DISTINCT]:
-            plumber = Plumber(
-                job.machine,
-                trace_duration=SERVICE_KWARGS["trace_duration"],
-                trace_warmup=SERVICE_KWARGS["trace_warmup"],
-            )
-            serial = plumber.optimize(
-                job.pipeline, iterations=SERVICE_KWARGS["iterations"]
+            serial = Plumber(job.machine, spec=SERVICE_SPEC).optimize(
+                job.pipeline
             )
             got = report.job(job.name)
             assert got.decisions == tuple(serial.decisions), job.name

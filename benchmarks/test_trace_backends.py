@@ -29,6 +29,7 @@ from repro.analysis.tables import format_table
 from repro.core.lp import solve_allocation
 from repro.core.plumber import Plumber
 from repro.core.rates import build_model
+from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 
 DOMAINS = ("vision", "nlp", "rl")
@@ -53,7 +54,7 @@ def measurements():
     for domain in DOMAINS:
         job = _domain_job(domain)
         for backend in BACKENDS:
-            plumber = Plumber(job.machine, backend=backend)
+            plumber = Plumber(job.machine, spec=OptimizeSpec(backend=backend))
             # Best of three guards the wallclock assertions against a
             # one-off GC pause / noisy CI neighbour; the analytic trace
             # is µs-scale, so the repeats cost nothing.

@@ -12,7 +12,7 @@ Run: ``python examples/cache_planning.py``
 """
 
 from repro.analysis.tables import format_table
-from repro.core import Plumber, optimize, plan_cache_greedy
+from repro.core import OptimizeSpec, Plumber, optimize, plan_cache_greedy
 from repro.core.rewriter import existing_cache
 from repro.host import setup_c
 from repro.workloads import build_resnet
@@ -24,7 +24,8 @@ def main():
 
     # --- Materialization costs along the SSD pipeline. -----------------
     pipeline = get_workload("ssd").build(parallelism=8)
-    plumber = Plumber(machine, trace_duration=3.0, trace_warmup=0.5)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=3.0, trace_warmup=0.5))
     model = plumber.model(pipeline)
 
     rows = []
@@ -45,7 +46,7 @@ def main():
     scaled = machine.with_memory(2e9)
 
     @optimize(scaled, pick_best={"fused": [True, False]},
-              trace_duration=1.5, trace_warmup=0.4)
+              spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     def loader_fn(fused=False):
         wl = get_workload("resnet")
         return build_resnet(catalog=wl.catalog_factory().scaled(0.004),

@@ -10,6 +10,7 @@ Run: ``python examples/disk_bound_diagnosis.py``
 
 from repro.analysis.tables import format_table
 from repro.core import (
+    OptimizeSpec,
     Plumber,
     benchmark_source_curve,
     io_bound_throughput,
@@ -25,7 +26,8 @@ def main():
     pipeline = get_workload("resnet").build(scale=0.05, parallelism=8)
 
     # --- Trace and derive the I/O cost per minibatch. ------------------
-    plumber = Plumber(machine, trace_duration=2.0, trace_warmup=0.5)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=2.0, trace_warmup=0.5))
     model = plumber.model(pipeline)
     bpm = model.bytes_per_minibatch
     print(f"I/O load: {bpm / 1e6:.1f} MB per minibatch "

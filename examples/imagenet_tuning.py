@@ -9,7 +9,7 @@ Run: ``python examples/imagenet_tuning.py``
 
 from repro.analysis.experiments import end_to_end, sequential_tuning
 from repro.analysis.tables import format_table
-from repro.core import Plumber, explain
+from repro.core import OptimizeSpec, Plumber, explain
 from repro.host import setup_a, setup_c
 from repro.workloads import get_workload
 
@@ -30,7 +30,8 @@ def main():
     print()
 
     # What does Plumber say about the tuned pipeline?
-    plumber = Plumber(machine, trace_duration=2.0, trace_warmup=0.5)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=2.0, trace_warmup=0.5))
     model = plumber.model(pipeline)
     print(explain(model))
     print()

@@ -46,7 +46,7 @@ def pass_telemetry_tour():
         config=FleetConfig(domain_weights={"vision": 1.0},
                            optimize_spec=SPEC),
     )
-    plumber = Plumber(setup_a(), backend="analytic")
+    plumber = Plumber(setup_a(), spec=OptimizeSpec(backend="analytic"))
     result = plumber.optimize(fleet[0].pipeline, iterations=1)
     header = (f"  {'pass':<12} {'ms':>7} {'actions':>7} "
               f"{'predicted':>10} {'realized':>9}")

@@ -13,7 +13,7 @@ Run: ``python examples/quickstart.py``
 
 import numpy as np
 
-from repro.core import Plumber, explain
+from repro.core import OptimizeSpec, Plumber, explain
 from repro.graph import CostModel, UserFunction, from_tfrecords
 from repro.host import setup_a
 from repro.inprocess import materialize
@@ -66,7 +66,8 @@ def main():
           f"first batch shape {batches[0].shape}\n")
 
     # --- 2. Simulated baseline + Plumber's EXPLAIN. -------------------
-    plumber = Plumber(machine, trace_duration=2.0, trace_warmup=0.5)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=2.0, trace_warmup=0.5))
     model = plumber.model(pipeline)
     print(explain(model))
     print()

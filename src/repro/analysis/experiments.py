@@ -24,6 +24,7 @@ from repro.baselines.naive import naive_config
 from repro.baselines.random_walk import RandomWalkTuner
 from repro.core.bottleneck import SequentialTuner, throughput_estimates
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from repro.graph.datasets import Pipeline
 from repro.host.machine import Machine
 from repro.runtime.executor import ModelConsumer, run_pipeline
@@ -82,7 +83,9 @@ def sequential_tuning(
     ``tuner`` is ``"plumber"`` (rank by parallelism-scaled rates) or
     ``"random"`` (the uninformed-debugging baseline).
     """
-    plumber = Plumber(machine, trace_duration, trace_warmup)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=trace_duration,
+                                        trace_warmup=trace_warmup))
     autotune = AutotuneTuner(machine)
     current = naive_config(pipeline)
     run = TuningRun(label=tuner)
@@ -140,7 +143,9 @@ def baseline_throughput(
     if which == "heuristic":
         tuned = heuristic_config(naive_config(pipeline), machine)
     elif which == "autotune":
-        plumber = Plumber(machine, duration, warmup)
+        plumber = Plumber(machine,
+                          spec=OptimizeSpec(trace_duration=duration,
+                                            trace_warmup=warmup))
         model = plumber.model(naive_config(pipeline))
         tuned = AutotuneTuner(machine, io_parallelism=io_parallelism).tune(
             model
@@ -220,7 +225,8 @@ def end_to_end(
 
     naive = measure(naive_config(base, keep_prefetch=False))
 
-    plumber = Plumber(scaled_machine, trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(scaled_machine,
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     model = plumber.model(naive_config(base))
     autotune_pipe = AutotuneTuner(
         scaled_machine, io_parallelism=autotune_io_parallelism

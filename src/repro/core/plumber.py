@@ -11,8 +11,7 @@ The paper's workflow, one line for the user:
 4. **Rewrite** and hand back a pipeline with the same signature.
 
 The whole configuration — passes, iterations, backend, trace window,
-granularity, memory — is one :class:`~repro.core.spec.OptimizeSpec`;
-the legacy keyword arguments remain as conveniences that build a spec.
+granularity, memory — is one :class:`~repro.core.spec.OptimizeSpec`.
 
 Entry points: :class:`Plumber` for step-by-step control,
 :func:`optimize_pipeline` for the one-liner, and :func:`optimize` — the
@@ -33,13 +32,13 @@ from repro.core.lp import LPSolution
 from repro.core.passes import PassContext, resolve_passes
 from repro.core.rates import PipelineModel, build_model
 from repro.core.rewriter import strip_caches
-from repro.core.spec import DEFAULT_PASSES, OptimizeSpec
+from repro.core.spec import OptimizeSpec
 from repro.core.trace import PipelineTrace
 from repro.graph.datasets import Pipeline
 from repro.host.machine import Machine
 from repro.host.memory import MemoryBudget
 from repro.obs import global_registry
-from repro.runtime.backends import BackendSpec, resolve_backend
+from repro.runtime.backends import resolve_backend
 from repro.runtime.executor import RunConfig
 
 
@@ -92,69 +91,25 @@ class Plumber:
     machine:
         The (simulated) host to trace and optimize for.
     spec:
-        The full optimizer configuration. The remaining keyword
-        arguments are conveniences layered on top of it (each non-None
-        value overrides the corresponding spec field), so
-        ``Plumber(machine, backend="analytic")`` and
-        ``Plumber(machine, spec=OptimizeSpec(backend="analytic"))`` are
-        the same plumber.
-    trace_duration / trace_warmup:
-        Virtual seconds of tracing per iteration (the paper uses ~1
-        minute of wallclock; in simulation a couple of virtual seconds
-        reaches steady state).
-    backend:
-        Trace acquisition backend: ``"simulate"`` (default, the
-        discrete-event tracer), ``"analytic"`` (closed-form fast path),
-        ``"adaptive"`` (analytic first, simulation fallback), or any
-        :class:`~repro.runtime.backends.TraceBackend` object.
-    event_budget:
-        Cap on simulation events per trace when ``granularity`` is
-        unset; the granularity auto-tuner coarsens chunks until the
-        estimated event count fits. All backends honour it, so a given
-        spec means the same chunking regardless of how the trace is
-        acquired.
+        The full optimizer configuration (``None`` = the defaults):
+        passes, iterations, trace backend, trace window, granularity or
+        event budget, and memory ceiling. For example
+        ``Plumber(machine, spec=OptimizeSpec(backend="analytic"))``
+        traces with the closed-form backend.
+    monotonic:
+        Clock for pass-telemetry wallclock (injectable in tests).
     """
 
     def __init__(
         self,
         machine: Machine,
-        trace_duration: Optional[float] = None,
-        trace_warmup: Optional[float] = None,
-        granularity: Optional[int] = None,
-        backend: BackendSpec = None,
-        event_budget: Optional[int] = None,
         spec: Optional[OptimizeSpec] = None,
         monotonic: Callable[[], float] = time.monotonic,
     ) -> None:
-        base = spec if spec is not None else OptimizeSpec()
         self.machine = machine
-        #: clock used for pass-telemetry wallclock (injectable in tests)
         self.monotonic = monotonic
-        self.spec = base.with_overrides(
-            trace_duration=trace_duration,
-            trace_warmup=trace_warmup,
-            granularity=granularity,
-            backend=backend,
-            event_budget=event_budget,
-        )
+        self.spec = spec if spec is not None else OptimizeSpec()
         self.backend = resolve_backend(self.spec.backend)
-
-    # -- legacy attribute mirrors (read-only views over the spec) ------
-    @property
-    def trace_duration(self) -> float:
-        return self.spec.trace_duration
-
-    @property
-    def trace_warmup(self) -> float:
-        return self.spec.trace_warmup
-
-    @property
-    def granularity(self) -> Optional[int]:
-        return self.spec.granularity
-
-    @property
-    def event_budget(self) -> Optional[int]:
-        return self.spec.event_budget
 
     # ------------------------------------------------------------------
     def trace(self, pipeline: Pipeline, **overrides) -> PipelineTrace:
@@ -378,14 +333,14 @@ def optimize_pipeline(
 def optimize(
     machine: Machine,
     pick_best: Optional[Dict[str, Sequence]] = None,
-    **plumber_kwargs,
+    spec: Optional[OptimizeSpec] = None,
 ):
     """The ``@optimize`` annotation (Figure 11).
 
     Decorates a loader function returning a :class:`Pipeline`. With
     ``pick_best={"param": [values...]}``, the loader is invoked once per
-    value, each variant is traced and optimized, and the fastest
-    optimized pipeline is returned.
+    value, each variant is traced and optimized under ``spec``, and the
+    fastest optimized pipeline is returned.
 
     Example
     -------
@@ -397,7 +352,7 @@ def optimize(
     def decorator(loader: Callable[..., Pipeline]):
         @functools.wraps(loader)
         def wrapped(*args, **kwargs) -> Pipeline:
-            plumber = Plumber(machine, **plumber_kwargs)
+            plumber = Plumber(machine, spec=spec)
             if not pick_best:
                 return plumber.optimize(loader(*args, **kwargs)).pipeline
             if len(pick_best) != 1:

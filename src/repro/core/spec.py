@@ -7,8 +7,8 @@ memory ceiling for cache planning — lives in one frozen dataclass. A
 spec is constructed once and flows unchanged through
 :class:`~repro.core.plumber.Plumber`, the batch service
 (:class:`repro.service.BatchOptimizer` / ``OptimizationJob.spec``), and
-the fleet generator (``FleetConfig.optimize_spec``), replacing the loose
-per-layer keyword arguments those layers used to re-declare.
+the fleet generator (``FleetConfig.optimize_spec``); none of those
+layers has a configuration knob of its own.
 
 Because the spec is the *whole* optimizer configuration, it is also the
 optimizer's contribution to cache identity: :meth:`OptimizeSpec.cache_token`
@@ -118,9 +118,9 @@ class OptimizeSpec:
     def with_overrides(self, **overrides) -> "OptimizeSpec":
         """A copy with every non-None override applied.
 
-        The one fold used wherever a layer accepts loose keyword
-        arguments on top of a spec (``Plumber(machine, backend=...)``,
-        per-job granularity/backend shims, fleet stamping): ``None``
+        The fold behind the call-level conveniences of
+        :meth:`Plumber.optimize <repro.core.plumber.Plumber.optimize>`
+        (``passes=``, ``iterations=``, ``allocate_remaining=``): ``None``
         means "inherit", anything else replaces the field.
         """
         changes = {k: v for k, v in overrides.items() if v is not None}

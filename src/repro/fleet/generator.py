@@ -89,17 +89,10 @@ class FleetConfig:
     accel_speed_low: float = 0.03
     accel_speed_high: float = 2.5
     #: full optimizer configuration stamped onto generated fleet jobs
-    #: (``None`` = inherit the batch service's default spec); the
-    #: per-domain granularity and backend overrides below are folded in
-    #: on top of it.
+    #: (``None`` = inherit the batch service's default spec). For a
+    #: per-domain spec, replace it on the generated jobs:
+    #: ``dataclasses.replace(job, spec=...)``.
     optimize_spec: OptimizeSpec | None = None
-    #: trace acquisition overrides stamped onto generated fleet jobs
-    #: (``None`` = inherit the batch service's defaults): trace backend
-    #: name, chunk granularity, and per-domain granularity overrides —
-    #: the knob that makes µs-cost NLP jobs cheap to simulate.
-    trace_backend: str | None = None
-    trace_granularity: int | None = None
-    domain_granularity: Dict[str, int] = field(default_factory=dict)
 
 
 _DOMAIN_PARAMS = {
@@ -210,11 +203,10 @@ def _build_job_pipeline(rng: np.random.Generator, domain: str, config: str):
 class FleetPipeline:
     """One named fleet job ready for the batch optimization service.
 
-    ``spec`` (a full :class:`~repro.core.spec.OptimizeSpec`) and the
-    loose ``granularity``/``backend`` knobs are per-job overrides picked
-    up by :class:`repro.service.BatchOptimizer` (``None`` = inherit the
-    service defaults; the loose knobs are folded into the effective
-    spec on top of ``spec``).
+    ``spec`` (a full :class:`~repro.core.spec.OptimizeSpec`) is the
+    per-job configuration picked up by
+    :class:`repro.service.BatchOptimizer` (``None`` = inherit the
+    service's spec).
     """
 
     name: str
@@ -222,8 +214,6 @@ class FleetPipeline:
     machine: Machine
     domain: str
     config: str                 # tuned / partial / naive
-    granularity: int | None = None
-    backend: str | None = None
     spec: OptimizeSpec | None = None
 
 
@@ -272,13 +262,6 @@ def generate_pipeline_fleet(
     jobs: List[FleetPipeline] = []
     for i in range(num_jobs):
         domain, tuning, machine, pipeline = templates[i % distinct]
-        granularity = config.domain_granularity.get(
-            domain, config.trace_granularity
-        )
-        spec = config.optimize_spec
-        if spec is not None:
-            spec = spec.with_overrides(granularity=granularity,
-                                       backend=config.trace_backend)
         jobs.append(
             FleetPipeline(
                 name=f"job{i:03d}_{domain}_{tuning}",
@@ -286,9 +269,7 @@ def generate_pipeline_fleet(
                 machine=machine,
                 domain=domain,
                 config=tuning,
-                granularity=granularity,
-                backend=config.trace_backend,
-                spec=spec,
+                spec=config.optimize_spec,
             )
         )
     return jobs

@@ -7,7 +7,7 @@ the per-iterator counters Plumber's tracer reads (§4.1: counts, active
 CPU-time, bytes — "less than 144 bytes per Dataset").
 """
 
-from repro.runtime.engine import Compute, Get, Processes, Put, Read, Simulation, Timeout
+from repro.runtime.engine import Compute, Get, Put, Read, Simulation, Timeout
 from repro.runtime.executor import (
     DEFAULT_EVENT_BUDGET,
     BenchmarkConsumer,
@@ -47,7 +47,6 @@ __all__ = [
     "Get",
     "ModelConsumer",
     "NodeStats",
-    "Processes",
     "Put",
     "Read",
     "RunConfig",

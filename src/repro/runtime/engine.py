@@ -1,6 +1,6 @@
 """The discrete-event simulation core.
 
-Processes are Python generators that ``yield`` request objects:
+A process is a Python generator that ``yield``s request objects:
 
 * :class:`Timeout` — advance the virtual clock for this process,
 * :class:`Compute` — occupy CPU cores via the core scheduler,
@@ -557,14 +557,3 @@ class FairShareDisk:
             self.sim.schedule(0.0, proc.resume, None)
         self._reschedule()
 
-
-class Processes:
-    """Small helpers for writing worker generators."""
-
-    @staticmethod
-    def drain(queue: SimQueue) -> Generator:
-        """Consume and discard everything until EOS."""
-        while True:
-            item = yield Get(queue)
-            if item is EOS:
-                return

@@ -35,7 +35,6 @@ from repro.service.batch import (
     FleetOptimizationReport,
     JobResult,
     OptimizationJob,
-    merge_fleet_reports,
 )
 from repro.service.client import (
     BatchFailedError,
@@ -57,7 +56,7 @@ from repro.service.errors import (
     ShardUnreachable,
 )
 from repro.service.ring import HashRing, default_host_ids
-from repro.service.shard import ShardedOptimizer, shard_fleet, shard_index
+from repro.service.shard import ShardedOptimizer, shard_fleet
 from repro.service.store import DiskStore, InMemoryStore, ResultStore
 
 __all__ = [
@@ -85,7 +84,5 @@ __all__ = [
     "ShardedOptimizer",
     "default_host_ids",
     "job_lane",
-    "merge_fleet_reports",
     "shard_fleet",
-    "shard_index",
 ]

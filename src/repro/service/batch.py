@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -66,37 +65,68 @@ from repro.util import canonical_hash
 class OptimizationJob:
     """One named unit of work for the batch service.
 
+    ``machine`` may be ``None`` (use the service's default machine).
     ``spec`` overrides the service-wide :class:`OptimizeSpec` for this
     job only (``None`` = inherit): a µs-cost NLP job can run coarse-
     chunked or fully analytic while the rest of the fleet keeps the
     default simulator.
-
-    ``granularity`` and ``backend`` are the pre-spec loose knobs, kept
-    as deprecated shims: when set they are folded into the effective
-    spec (on top of ``spec`` or the service default) and a
-    ``DeprecationWarning`` is emitted. Use
-    ``spec=service.spec.replace(backend=...)`` instead.
     """
 
-    # Field order keeps the pre-spec positional surface intact:
-    # OptimizationJob(name, pipeline, machine, granularity, backend)
-    # constructs exactly as before, with `spec` keyword-position last.
     name: str
     pipeline: Pipeline
-    machine: Machine
-    granularity: Optional[int] = None
-    backend: Optional[str] = None
+    machine: Optional[Machine]
     spec: Optional[OptimizeSpec] = None
 
-    def __post_init__(self) -> None:
-        if self.granularity is not None or self.backend is not None:
-            warnings.warn(
-                "OptimizationJob.granularity/backend are deprecated; "
-                "carry a full OptimizeSpec via the `spec` field instead "
-                "(e.g. spec=OptimizeSpec(backend='analytic'))",
-                DeprecationWarning,
-                stacklevel=3,
+
+def parse_jobs(
+    jobs: Union[Mapping[str, Pipeline], Sequence],
+) -> List[OptimizationJob]:
+    """Parse a job batch into :class:`OptimizationJob` objects.
+
+    The one parser behind :meth:`BatchOptimizer.optimize_fleet`,
+    :func:`repro.service.client.fleet_to_body` and
+    :mod:`repro.service.shard`, so a batch is accepted or rejected the
+    same way wherever it is sent. It accepts exactly
+    ``{name: pipeline}`` mappings, ``(name, pipeline[, machine])``
+    tuples, and objects with ``name``/``pipeline`` attributes and
+    optional ``machine``/``spec`` ones (e.g.
+    :class:`repro.fleet.generator.FleetPipeline`). Anything else raises
+    :class:`ValueError`. Jobs keep ``machine=None`` and ``spec=None``
+    when the entry gives none. Duplicate names are left to the
+    consumer (the daemon answers them with a 400).
+    """
+    entries = list(jobs.items()) if isinstance(jobs, Mapping) else jobs
+    parsed: List[OptimizationJob] = []
+    for entry in entries:
+        if isinstance(entry, tuple):
+            if not 2 <= len(entry) <= 3:
+                raise ValueError(
+                    "job tuples are (name, pipeline[, machine]), got "
+                    f"{len(entry)} elements; carry per-job settings in "
+                    "an OptimizeSpec instead"
+                )
+            name, pipeline, machine = entry + (None,) * (3 - len(entry))
+            spec = None
+        elif hasattr(entry, "name") and hasattr(entry, "pipeline"):
+            name, pipeline = entry.name, entry.pipeline
+            machine = getattr(entry, "machine", None)
+            spec = getattr(entry, "spec", None)
+        else:
+            raise ValueError(
+                f"unrecognized job entry {entry!r}: jobs are "
+                "(name, pipeline[, machine]) tuples or objects with "
+                "name/pipeline attributes"
             )
+        if not isinstance(name, str):
+            raise ValueError(f"job names must be strings, got {name!r}")
+        if not isinstance(pipeline, Pipeline):
+            raise ValueError(f"job {name!r}: pipeline is not a Pipeline")
+        if machine is not None and not isinstance(machine, Machine):
+            raise ValueError(f"job {name!r}: machine is not a Machine")
+        if spec is not None and not isinstance(spec, OptimizeSpec):
+            raise ValueError(f"job {name!r}: spec is not an OptimizeSpec")
+        parsed.append(OptimizationJob(name, pipeline, machine, spec))
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -255,13 +285,6 @@ class FleetOptimizationReport:
                             title="Fleet optimization summary")
 
 
-def merge_fleet_reports(
-    reports: Iterable[FleetOptimizationReport],
-) -> FleetOptimizationReport:
-    """Module-level alias for :meth:`FleetOptimizationReport.merge`."""
-    return FleetOptimizationReport.merge(reports)
-
-
 # ----------------------------------------------------------------------
 # Worker entry point — module-level so process pools can pickle it.
 # ----------------------------------------------------------------------
@@ -325,11 +348,6 @@ class BatchOptimizer:
         Zero-argument callable stamping each stored entry's provenance
         timestamp (``time.time`` by default). The caller injects it so
         stores never reach for wall-clock themselves.
-    passes / iterations / trace_duration / trace_warmup / granularity /
-    backend / event_budget:
-        Convenience overrides: each non-None value replaces the
-        corresponding field of ``spec`` (or of a default spec when none
-        is given), mirroring the old keyword surface.
     """
 
     def __init__(
@@ -337,13 +355,6 @@ class BatchOptimizer:
         machine: Optional[Machine] = None,
         executor: str = "thread",
         max_workers: Optional[int] = None,
-        passes: Optional[Sequence[str]] = None,
-        iterations: Optional[int] = None,
-        trace_duration: Optional[float] = None,
-        trace_warmup: Optional[float] = None,
-        granularity: Optional[int] = None,
-        backend: Optional[str] = None,
-        event_budget: Optional[int] = None,
         spec: Optional[OptimizeSpec] = None,
         store: Optional[ResultStore] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -352,19 +363,10 @@ class BatchOptimizer:
             raise ValueError(
                 f"executor must be serial/thread/process, got {executor!r}"
             )
-        base = spec if spec is not None else OptimizeSpec()
         self.machine = machine
         self.executor = executor
         self.max_workers = max_workers
-        self.spec = base.with_overrides(
-            passes=passes,
-            iterations=iterations,
-            trace_duration=trace_duration,
-            trace_warmup=trace_warmup,
-            granularity=granularity,
-            backend=backend,
-            event_budget=event_budget,
-        )
+        self.spec = spec if spec is not None else OptimizeSpec()
         self._validate_spec(self.spec, "service")
         #: persistent signature-keyed result store (survives across
         #: optimize_fleet calls on this instance; with a DiskStore, also
@@ -382,15 +384,6 @@ class BatchOptimizer:
         #: snapshots travel in ``stats()["metrics"]`` so a remote shard's
         #: numbers merge into fleet-wide aggregates
         self.metrics = MetricsRegistry()
-
-    # -- legacy attribute mirrors --------------------------------------
-    @property
-    def passes(self) -> Tuple[str, ...]:
-        return self.spec.passes
-
-    @property
-    def iterations(self) -> int:
-        return self.spec.iterations
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -419,71 +412,29 @@ class BatchOptimizer:
     def _normalize(
         self,
         jobs: Union[Mapping[str, Pipeline], Sequence],
-    ) -> List[Tuple[OptimizationJob, OptimizeSpec]]:
-        """Accept ``{name: pipeline}`` mappings, ``(name, pipeline[,
-        machine[, granularity[, backend]]])`` tuples, or objects with
-        name/pipeline/machine (and optionally spec/granularity/backend)
-        attributes — e.g. :class:`repro.fleet.generator.FleetPipeline`.
-
-        Returns each job paired with its *effective* spec: the job's own
-        spec (or the service default) with any loose granularity/backend
-        overrides folded in.
+    ) -> List[OptimizationJob]:
+        """Parse a batch (:func:`parse_jobs`) and resolve each job's
+        machine and *effective* spec: its own, or the service default.
         """
-        if isinstance(jobs, Mapping):
-            items = [
-                (name, pipe, None, None, None, None)
-                for name, pipe in jobs.items()
-            ]
-        else:
-            items = []
-            for entry in jobs:
-                if isinstance(entry, tuple):
-                    if not 2 <= len(entry) <= 5:
-                        raise ValueError(
-                            "job tuples are (name, pipeline[, machine"
-                            f"[, granularity[, backend]]]), got {len(entry)} "
-                            "elements"
-                        )
-                    name, pipe, *rest = entry + (None,) * (5 - len(entry))
-                    items.append((name, pipe, rest[0], None, rest[1], rest[2]))
-                else:
-                    items.append((
-                        entry.name,
-                        entry.pipeline,
-                        getattr(entry, "machine", None),
-                        getattr(entry, "spec", None),
-                        getattr(entry, "granularity", None),
-                        getattr(entry, "backend", None),
-                    ))
+        normalized: List[OptimizationJob] = []
         seen: set = set()
-        normalized: List[Tuple[OptimizationJob, OptimizeSpec]] = []
-        for name, pipe, mach, job_spec, granularity, backend in items:
-            if name in seen:
-                raise ValueError(f"duplicate job name {name!r}")
-            seen.add(name)
-            machine = mach or self.machine
+        for job in parse_jobs(jobs):
+            if job.name in seen:
+                raise ValueError(f"duplicate job name {job.name!r}")
+            seen.add(job.name)
+            machine = job.machine or self.machine
             if machine is None:
                 raise ValueError(
-                    f"job {name!r} has no machine and the service has no "
-                    "default machine"
+                    f"job {job.name!r} has no machine and the service has "
+                    "no default machine"
                 )
-            if backend is not None and not isinstance(backend, str):
-                raise TypeError(
-                    f"job {name!r}: per-job backend must be a "
-                    "registered backend name"
-                )
-            spec = job_spec if job_spec is not None else self.spec
+            spec = job.spec if job.spec is not None else self.spec
             try:
-                spec = spec.with_overrides(granularity=granularity,
-                                           backend=backend)
+                self._validate_spec(spec, f"job {job.name!r}")
             except ValueError as exc:
-                raise ValueError(f"job {name!r}: {exc}") from None
-            try:
-                self._validate_spec(spec, f"job {name!r}")
-            except ValueError as exc:
-                raise ValueError(f"job {name!r}: {exc}") from None
+                raise ValueError(f"job {job.name!r}: {exc}") from None
             normalized.append(
-                (OptimizationJob(name, pipe, machine, spec=spec), spec)
+                OptimizationJob(job.name, job.pipeline, machine, spec)
             )
         return normalized
 
@@ -520,25 +471,25 @@ class BatchOptimizer:
         """
         fleet_started = self.metrics.clock()
         work = self._normalize(jobs)
-        keyed: List[Tuple[OptimizationJob, str, str, OptimizeSpec]] = []
+        keyed: List[Tuple[OptimizationJob, str, str]] = []
         # Fleet jobs stamped from one template share the Pipeline object;
         # hash each distinct object once, not once per job.
         sig_by_id: Dict[int, str] = {}
-        for job, spec in work:
+        for job in work:
             sig = sig_by_id.get(id(job.pipeline))
             if sig is None:
                 sig = structural_signature(job.pipeline)
                 sig_by_id[id(job.pipeline)] = sig
-            keyed.append((
-                job, sig, self._cache_key(sig, job.machine, spec), spec,
-            ))
+            keyed.append(
+                (job, sig, self._cache_key(sig, job.machine, job.spec))
+            )
 
         # Resolve each distinct key once: from the store when an intact
         # entry exists, otherwise as a pool task. The payload carries the
         # exact spec the cache key hashed.
         entries: Dict[str, dict] = {}
         pending: Dict[str, dict] = {}
-        for job, _sig, key, spec in keyed:
+        for job, _sig, key in keyed:
             if key in entries or key in pending:
                 continue
             entry = self.store.get(key)
@@ -548,7 +499,7 @@ class BatchOptimizer:
             pending[key] = {
                 "pipeline": pipeline_to_json(job.pipeline),
                 "machine": job.machine.to_dict(),
-                "spec": spec.to_dict(),
+                "spec": job.spec.to_dict(),
             }
 
         if pending:
@@ -610,7 +561,7 @@ class BatchOptimizer:
         results: List[JobResult] = []
         hits = misses = 0
         fresh = set(pending)
-        for job, sig, key, _spec in keyed:
+        for job, sig, key in keyed:
             cached = entries[key]["result"]
             is_hit = key not in fresh
             if is_hit:

@@ -48,7 +48,12 @@ from repro.graph.serialize import (
     pipeline_to_dict,
     pipeline_to_json,
 )
-from repro.service.batch import FleetOptimizationReport, JobResult
+from repro.service.batch import (
+    FleetOptimizationReport,
+    JobResult,
+    OptimizationJob,
+    parse_jobs,
+)
 from repro.service.errors import (  # ClientError re-exported: historical home
     ClientError,
     ClientTimeout,
@@ -76,13 +81,13 @@ class BatchFailedError(ClientError):
 # ----------------------------------------------------------------------
 # Wire format: BatchOptimizer job forms -> POST /optimize body.
 # ----------------------------------------------------------------------
-def _wire_job(name, pipeline, machine=None, spec=None) -> dict:
-    job = {"name": name, "pipeline": pipeline_to_dict(pipeline)}
-    if machine is not None:
-        job["machine"] = machine.to_dict()
-    if spec is not None:
-        job["spec"] = spec.to_dict()
-    return job
+def _wire_job(job: OptimizationJob) -> dict:
+    wire = {"name": job.name, "pipeline": pipeline_to_dict(job.pipeline)}
+    if job.machine is not None:
+        wire["machine"] = job.machine.to_dict()
+    if job.spec is not None:
+        wire["spec"] = job.spec.to_dict()
+    return wire
 
 
 def fleet_to_body(
@@ -91,53 +96,11 @@ def fleet_to_body(
 ) -> dict:
     """Serialize a job batch into a ``POST /optimize`` body.
 
-    Accepts the same input forms as
-    :meth:`~repro.service.batch.BatchOptimizer.optimize_fleet`:
-    ``{name: pipeline}`` mappings, ``(name, pipeline[, machine])``
-    tuples, or objects with ``name``/``pipeline`` (and optionally
-    ``machine``/``spec``/``granularity``/``backend``) attributes. The
-    deprecated loose ``granularity``/``backend`` knobs are folded into
-    the job's spec (or the batch ``spec``) so they survive the wire;
-    with no spec to fold onto they are rejected — the daemon only
-    speaks :class:`OptimizeSpec`.
+    The batch is parsed by :func:`~repro.service.batch.parse_jobs`, so
+    it accepts and rejects exactly what
+    :meth:`~repro.service.batch.BatchOptimizer.optimize_fleet` does.
     """
-    if isinstance(jobs, Mapping):
-        entries: Sequence = [(name, pipe) for name, pipe in jobs.items()]
-    else:
-        entries = list(jobs)
-    wire = []
-    for entry in entries:
-        if isinstance(entry, tuple):
-            if not 2 <= len(entry) <= 3:
-                raise ValueError(
-                    "job tuples are (name, pipeline[, machine]) on the "
-                    f"wire; got {len(entry)} elements — carry "
-                    "granularity/backend in an OptimizeSpec instead"
-                )
-            name, pipeline, *rest = entry
-            machine = rest[0] if rest else None
-            job_spec = None
-            loose: Dict[str, object] = {}
-        else:
-            name = entry.name
-            pipeline = entry.pipeline
-            machine = getattr(entry, "machine", None)
-            job_spec = getattr(entry, "spec", None)
-            loose = {
-                "granularity": getattr(entry, "granularity", None),
-                "backend": getattr(entry, "backend", None),
-            }
-        if any(v is not None for v in loose.values()):
-            base = job_spec if job_spec is not None else spec
-            if base is None:
-                raise ValueError(
-                    f"job {name!r} carries loose granularity/backend "
-                    "overrides but no OptimizeSpec to fold them into; "
-                    "give the job (or the batch) a spec"
-                )
-            job_spec = base.with_overrides(**loose)
-        wire.append(_wire_job(name, pipeline, machine, job_spec))
-    body: dict = {"jobs": wire}
+    body: dict = {"jobs": [_wire_job(job) for job in parse_jobs(jobs)]}
     if spec is not None:
         body["spec"] = spec.to_dict()
     return body

@@ -1,7 +1,7 @@
 """Consistent-hash ring for signature-affine shard placement.
 
-The modulo hash the sharding layer started with (``shard_index``) has a
-fatal elasticity property: changing ``num_shards`` from ``N`` to ``N±1``
+A modulo hash (``int(signature, 16) % num_shards``) has a fatal
+elasticity property: changing ``num_shards`` from ``N`` to ``N±1``
 remaps almost *every* signature, so one host joining or leaving the
 fleet invalidates nearly all per-host result-cache locality at once. A
 consistent-hash ring fixes that: each host owns many pseudo-random arcs

@@ -8,8 +8,7 @@ per-shard result caches dedup exactly as well as one global cache would
 Placement routes through a virtual-node :class:`~repro.service.ring.
 HashRing` keyed by host id, so it is stable across processes, hosts,
 and runs, *and* elastic: a host joining or leaving moves only ~K/N of K
-signatures instead of rehashing the world (the modulo ``shard_index``
-scheme this replaces remains as a legacy helper).
+signatures instead of rehashing the world.
 
 A shard is **anything** with ``optimize_fleet(jobs)`` + ``stats()``: an
 in-process :class:`~repro.service.batch.BatchOptimizer`, or a
@@ -49,7 +48,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.fleet.analysis import merge_degraded_sections
 from repro.graph.signature import structural_signature
 from repro.obs import MetricsRegistry, merge_snapshots
-from repro.service.batch import FleetOptimizationReport
+from repro.service.batch import (
+    FleetOptimizationReport,
+    OptimizationJob,
+    parse_jobs,
+)
 from repro.service.errors import (
     ShardDispatchError,
     ShardFailure,
@@ -57,67 +60,17 @@ from repro.service.errors import (
 )
 from repro.service.ring import DEFAULT_VNODES, HashRing, default_host_ids
 
-__all__ = ["shard_index", "shard_fleet", "ShardedOptimizer"]
+__all__ = ["shard_fleet", "ShardedOptimizer"]
 
 
-def shard_index(signature: str, num_shards: int) -> int:
-    """Legacy modulo placement of a structural signature (hex digest).
-
-    Kept for callers that need the historical fixed-``N`` layout;
-    fleet routing goes through :class:`~repro.service.ring.HashRing`
-    now, which preserves placement under membership churn.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    return int(signature, 16) % num_shards
-
-
-def _job_pipeline(entry) -> object:
-    """The pipeline of one job in any of the batch-service input forms."""
-    if isinstance(entry, tuple):
-        if len(entry) < 2:
-            raise ValueError(
-                "job tuples are (name, pipeline[, ...]); "
-                f"got {len(entry)} elements"
-            )
-        return entry[1]
-    return entry.pipeline
-
-
-def _job_name(entry) -> str:
-    """The name of one job in any of the batch-service input forms."""
-    if isinstance(entry, tuple):
-        if len(entry) < 2:
-            raise ValueError(
-                "job tuples are (name, pipeline[, ...]); "
-                f"got {len(entry)} elements"
-            )
-        return entry[0]
-    return entry.name
-
-
-def _signed_entries(
-    jobs: Union[Mapping[str, object], Sequence],
-) -> List[Tuple[object, str]]:
-    """``(entry, structural signature)`` pairs in submission order.
-
-    Mappings become ``(name, pipeline)`` tuples. Stamped fleets share
-    Pipeline objects, so each distinct object is hashed once.
-    """
-    if isinstance(jobs, Mapping):
-        entries: Sequence = list(jobs.items())
-    else:
-        entries = list(jobs)
+def _signed(jobs: List[OptimizationJob]) -> List[str]:
+    """Each job's structural signature, in order. Stamped fleets share
+    Pipeline objects, so each distinct object is hashed once."""
     sig_by_id: Dict[int, str] = {}
-    signed = []
-    for entry in entries:
-        pipeline = _job_pipeline(entry)
-        sig = sig_by_id.get(id(pipeline))
-        if sig is None:
-            sig = structural_signature(pipeline)
-            sig_by_id[id(pipeline)] = sig
-        signed.append((entry, sig))
-    return signed
+    for job in jobs:
+        if id(job.pipeline) not in sig_by_id:
+            sig_by_id[id(job.pipeline)] = structural_signature(job.pipeline)
+    return [sig_by_id[id(job.pipeline)] for job in jobs]
 
 
 def shard_fleet(
@@ -127,29 +80,28 @@ def shard_fleet(
 ) -> List[List]:
     """Partition a job batch into ``num_shards`` signature-affine shards.
 
-    Accepts the same input forms as
-    :meth:`~repro.service.batch.BatchOptimizer.optimize_fleet`
-    (``{name: pipeline}`` mappings, job tuples, or objects with a
-    ``pipeline`` attribute). Placement routes through a consistent-hash
-    ring over :func:`~repro.service.ring.default_host_ids`, so shard
-    ``i`` holds exactly what host ``shard-i`` of an equally-sized
+    The batch is parsed by :func:`~repro.service.batch.parse_jobs`, so
+    it accepts and rejects exactly what
+    :meth:`~repro.service.batch.BatchOptimizer.optimize_fleet` does, at
+    any shard count. Placement routes through a consistent-hash ring
+    over :func:`~repro.service.ring.default_host_ids`, so shard ``i``
+    holds the jobs host ``shard-i`` of an equally-sized
     :class:`ShardedOptimizer` would receive — deterministic across
     processes. Relative job order is preserved within each shard;
-    mappings shard as ``(name, pipeline)`` tuples. Empty shards are
-    returned as empty lists so shard ``i`` always maps to logical host
-    ``i``.
+    entries keep their given form, and mappings shard as
+    ``(name, pipeline)`` tuples. Empty shards are returned as empty
+    lists so shard ``i`` always maps to logical host ``i``.
     """
     hosts = default_host_ids(num_shards)
+    entries = list(jobs.items()) if isinstance(jobs, Mapping) else list(jobs)
+    parsed = parse_jobs(entries)
     shards: List[List] = [[] for _ in range(num_shards)]
     if num_shards == 1:
-        if isinstance(jobs, Mapping):
-            shards[0].extend(jobs.items())
-        else:
-            shards[0].extend(jobs)
+        shards[0].extend(entries)
         return shards
     ring = HashRing(hosts, vnodes=vnodes)
     index = {host: i for i, host in enumerate(hosts)}
-    for entry, sig in _signed_entries(jobs):
+    for entry, sig in zip(entries, _signed(parsed)):
         shards[index[ring.host_for(sig)]].append(entry)
     return shards
 
@@ -351,16 +303,15 @@ class ShardedOptimizer:
     # -- dispatch -------------------------------------------------------
     @staticmethod
     def _assign(
-        signed: Sequence[Tuple[object, str]], ring: HashRing
-    ) -> Dict[str, List[Tuple[object, str]]]:
-        assignment: Dict[str, List[Tuple[object, str]]] = {}
-        for entry, sig in signed:
-            assignment.setdefault(ring.host_for(sig), []).append(
-                (entry, sig))
+        signed: Sequence[Tuple[OptimizationJob, str]], ring: HashRing
+    ) -> Dict[str, List[Tuple[OptimizationJob, str]]]:
+        assignment: Dict[str, List[Tuple[OptimizationJob, str]]] = {}
+        for job, sig in signed:
+            assignment.setdefault(ring.host_for(sig), []).append((job, sig))
         return assignment
 
     def _dispatch_round(
-        self, pending: Dict[str, List[Tuple[object, str]]]
+        self, pending: Dict[str, List[Tuple[OptimizationJob, str]]]
     ) -> Dict[str, object]:
         """Run one round concurrently; collect **every** shard's
         outcome (report or exception) under the dispatch deadline."""
@@ -374,7 +325,7 @@ class ShardedOptimizer:
         futures = {
             host: pool.submit(
                 self._by_host[host].optimize_fleet,
-                [entry for entry, _sig in batch],
+                [job for job, _sig in batch],
             )
             for host, batch in pending.items()
         }
@@ -411,19 +362,16 @@ class ShardedOptimizer:
         jobs: Union[Mapping[str, object], Sequence],
     ) -> FleetOptimizationReport:
         """Route, optimize, fail over, and merge one batch."""
+        parsed = parse_jobs(jobs)
         # Reject duplicate names up front: duplicates whose pipelines
         # hash to *different* shards would slip past the per-shard
         # check, silently diverging from BatchOptimizer on the same
         # input (and making the merged report's job() ambiguous).
-        if isinstance(jobs, Mapping):
-            order = {name: i for i, name in enumerate(jobs)}
-        else:
-            order = {}
-            for i, entry in enumerate(jobs):
-                name = _job_name(entry)
-                if name in order:
-                    raise ValueError(f"duplicate job name {name!r}")
-                order[name] = i
+        order: Dict[str, int] = {}
+        for i, job in enumerate(parsed):
+            if job.name in order:
+                raise ValueError(f"duplicate job name {job.name!r}")
+            order[job.name] = i
         self._readmit_recovered()
         with self._membership_lock:
             ring = self._ring.copy()
@@ -432,8 +380,7 @@ class ShardedOptimizer:
                 "no healthy shard hosts (all "
                 f"{self.num_shards} quarantined)"
             )
-        signed = _signed_entries(jobs)
-        pending = self._assign(signed, ring)
+        pending = self._assign(list(zip(parsed, _signed(parsed))), ring)
 
         reports: List[FleetOptimizationReport] = []
         failed_shards: List[dict] = []
@@ -442,7 +389,7 @@ class ShardedOptimizer:
         rounds = 0
         while pending:
             outcomes = self._dispatch_round(pending)
-            retry: List[Tuple[object, str]] = []
+            retry: List[Tuple[OptimizationJob, str]] = []
             fatal: Dict[str, BaseException] = {}
             for host, batch in pending.items():
                 outcome = outcomes[host]
@@ -455,7 +402,7 @@ class ShardedOptimizer:
                     continue
                 exc = outcome
                 shard_errors[host] = exc
-                names = [_job_name(entry) for entry, _sig in batch]
+                names = [job.name for job, _sig in batch]
                 self.metrics.counter(
                     "repro_shard_failures_total",
                     "Shard dispatch failures, by host and failure kind",
@@ -506,8 +453,8 @@ class ShardedOptimizer:
                 )
             pending = self._assign(retry, ring)
             for host, batch in pending.items():
-                for entry, _sig in batch:
-                    rehomed[_job_name(entry)]["to"] = host
+                for job, _sig in batch:
+                    rehomed[job.name]["to"] = host
 
         if rounds:
             self.metrics.counter(

@@ -55,6 +55,11 @@ def machine():
     return setup_a()
 
 
+def _plumber(machine, backend, duration=1.5, warmup=0.3):
+    return Plumber(machine, spec=OptimizeSpec(
+        backend=backend, trace_duration=duration, trace_warmup=warmup))
+
+
 class TestPolicy:
     def test_registered(self):
         assert resolve_backend("adaptive").name == "adaptive"
@@ -62,8 +67,7 @@ class TestPolicy:
     def test_confident_case_served_analytically(self, machine,
                                                 small_catalog):
         backend = AdaptiveBackend()
-        plumber = Plumber(machine, backend=backend, trace_duration=1.5,
-                          trace_warmup=0.3)
+        plumber = _plumber(machine, backend)
         trace = plumber.trace(lopsided_pipeline(small_catalog))
         assert trace.backend == "adaptive[analytic]"
         decision = backend.decisions[-1]
@@ -79,8 +83,7 @@ class TestPolicy:
         # The seed is real: two caps within the default margin.
         assert diag.margin < 0.1
         backend = AdaptiveBackend()
-        plumber = Plumber(machine, backend=backend, trace_duration=1.5,
-                          trace_warmup=0.3)
+        plumber = _plumber(machine, backend)
         trace = plumber.trace(pipe)
         assert trace.backend == "adaptive[simulate]"
         decision = backend.decisions[-1]
@@ -92,15 +95,13 @@ class TestPolicy:
     def test_margin_zero_always_trusts_analytic(self, machine,
                                                 small_catalog):
         backend = AdaptiveBackend(margin=0.0)
-        plumber = Plumber(machine, backend=backend, trace_duration=1.5,
-                          trace_warmup=0.3)
+        plumber = _plumber(machine, backend)
         trace = plumber.trace(tied_pipeline(small_catalog))
         assert trace.backend == "adaptive[analytic]"
 
     def test_huge_margin_always_simulates(self, machine, small_catalog):
         backend = AdaptiveBackend(margin=1e9)
-        plumber = Plumber(machine, backend=backend, trace_duration=1.5,
-                          trace_warmup=0.3)
+        plumber = _plumber(machine, backend)
         trace = plumber.trace(lopsided_pipeline(small_catalog))
         assert trace.backend == "adaptive[simulate]"
 
@@ -111,8 +112,7 @@ class TestPolicy:
     def test_decision_log_bounded_and_clearable(self, machine,
                                                 small_catalog):
         backend = AdaptiveBackend()
-        plumber = Plumber(machine, backend=backend, trace_duration=1.0,
-                          trace_warmup=0.25)
+        plumber = _plumber(machine, backend, 1.0, 0.25)
         pipe = lopsided_pipeline(small_catalog)
         for _ in range(3):
             plumber.trace(pipe)
@@ -124,8 +124,7 @@ class TestPolicy:
                                                    small_catalog):
         from repro.core.trace import PipelineTrace
 
-        plumber = Plumber(machine, backend="adaptive", trace_duration=1.5,
-                          trace_warmup=0.3)
+        plumber = _plumber(machine, "adaptive")
         trace = plumber.trace(lopsided_pipeline(small_catalog))
         restored = PipelineTrace.from_json(trace.to_json())
         assert restored.backend == trace.backend

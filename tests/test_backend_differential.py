@@ -26,6 +26,7 @@ import pytest
 from repro.core.lp import solve_allocation
 from repro.core.plumber import Plumber
 from repro.core.rates import build_model
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import (
     from_tfrecords,
     interleave_datasets,
@@ -200,7 +201,9 @@ def machine():
 
 def _solved_traces(pipeline, machine, duration=3.0, warmup=0.5):
     """(trace, LP solution) per backend for one graph."""
-    plumber = Plumber(machine, trace_duration=duration, trace_warmup=warmup)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=duration,
+                                        trace_warmup=warmup))
     out = {}
     for name in BACKENDS:
         trace = plumber.trace(pipeline, backend=name)

@@ -9,6 +9,7 @@ from repro.core.bottleneck import (
     throughput_estimates,
 )
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from tests.test_core_lp import two_stage_pipeline
 from tests.test_core_rates import model_of
 
@@ -51,7 +52,9 @@ class TestEstimates:
 
 class TestSequentialTuner:
     def test_converges_toward_lp_throughput(self, small_catalog, test_machine):
-        plumber = Plumber(test_machine, trace_duration=1.5, trace_warmup=0.3)
+        plumber = Plumber(test_machine,
+                          spec=OptimizeSpec(trace_duration=1.5,
+                                            trace_warmup=0.3))
 
         tuner = SequentialTuner(plumber.model, core_budget=test_machine.cores)
         pipe = two_stage_pipeline(small_catalog)
@@ -66,7 +69,9 @@ class TestSequentialTuner:
         assert heavy_steps >= tuner.history.count("m_cheap")
 
     def test_respects_core_budget(self, small_catalog, test_machine):
-        plumber = Plumber(test_machine, trace_duration=1.0, trace_warmup=0.2)
+        plumber = Plumber(test_machine,
+                          spec=OptimizeSpec(trace_duration=1.0,
+                                            trace_warmup=0.2))
         tuner = SequentialTuner(plumber.model, core_budget=6)
         pipe = two_stage_pipeline(small_catalog)
         for _ in range(12):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.lp import solve_allocation
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
 from tests.conftest import make_udf
 from tests.test_core_rates import model_of
@@ -100,7 +101,9 @@ class TestLP:
         from repro.core.plumber import Plumber
 
         pipe = two_stage_pipeline(small_catalog)
-        plumber = Plumber(test_machine, trace_duration=2.0, trace_warmup=0.5)
+        plumber = Plumber(test_machine,
+                          spec=OptimizeSpec(trace_duration=2.0,
+                                            trace_warmup=0.5))
         res = plumber.optimize(pipe, passes=("parallelism",), iterations=2)
         observed = res.model.observed_throughput
         predicted = solve_allocation(res.model).predicted_throughput

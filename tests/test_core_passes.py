@@ -14,9 +14,14 @@ from repro.core.passes import (
     unregister_pass,
 )
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
 from tests.conftest import make_udf
 from tests.test_core_lp import two_stage_pipeline
+
+#: short trace windows keep the pass-driver tests fast
+SHORT = OptimizeSpec(trace_duration=1.0, trace_warmup=0.25)
+ANALYTIC = SHORT.replace(backend="analytic")
 
 
 def stacked_prefetch_pipeline(catalog):
@@ -136,8 +141,7 @@ class TestActions:
 class TestFusePass:
     def test_fuse_collapses_stack_keeping_max_buffer(self, small_catalog,
                                                      test_machine):
-        plumber = Plumber(test_machine, trace_duration=1.0,
-                          trace_warmup=0.25, backend="analytic")
+        plumber = Plumber(test_machine, spec=ANALYTIC)
         result = plumber.optimize(
             stacked_prefetch_pipeline(small_catalog),
             passes=("fuse",), iterations=1,
@@ -149,8 +153,7 @@ class TestFusePass:
 
     def test_fuse_noop_without_adjacent_prefetches(self, small_catalog,
                                                    test_machine):
-        plumber = Plumber(test_machine, trace_duration=1.0,
-                          trace_warmup=0.25, backend="analytic")
+        plumber = Plumber(test_machine, spec=ANALYTIC)
         pipe = two_stage_pipeline(small_catalog)
         result = plumber.optimize(pipe, passes=("fuse",), iterations=1)
         assert result.decisions == []
@@ -158,8 +161,7 @@ class TestFusePass:
 
     def test_fuse_then_standard_passes(self, small_catalog, test_machine):
         """The new pass composes with the original three in one spec."""
-        plumber = Plumber(test_machine, trace_duration=1.0,
-                          trace_warmup=0.25)
+        plumber = Plumber(test_machine, spec=SHORT)
         result = plumber.optimize(
             stacked_prefetch_pipeline(small_catalog),
             passes=("fuse", "parallelism", "prefetch", "cache"),
@@ -187,8 +189,7 @@ class TestCustomPassInDriver:
                     description=f"iter{ctx.iteration}: widen m_heavy",
                 )]
 
-        plumber = Plumber(test_machine, trace_duration=1.0,
-                          trace_warmup=0.25, backend="analytic")
+        plumber = Plumber(test_machine, spec=ANALYTIC)
         result = plumber.optimize(
             two_stage_pipeline(small_catalog),
             passes=(Widen(),), iterations=1,
@@ -211,8 +212,7 @@ class TestCustomPassInDriver:
                 seen["pipeline"] = ctx.pipeline.name
                 return []
 
-        Plumber(test_machine, trace_duration=1.0, trace_warmup=0.25,
-                backend="analytic").optimize(
+        Plumber(test_machine, spec=ANALYTIC).optimize(
             two_stage_pipeline(small_catalog), passes=(Probe(),),
             iterations=1,
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.plumber import Plumber, optimize, optimize_pipeline
 from repro.core.rewriter import existing_cache
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
 from tests.conftest import make_udf
 from tests.test_core_lp import two_stage_pipeline
@@ -11,7 +12,8 @@ from tests.test_core_lp import two_stage_pipeline
 
 @pytest.fixture
 def plumber(test_machine):
-    return Plumber(test_machine, trace_duration=1.5, trace_warmup=0.3)
+    return Plumber(test_machine,
+                   spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.3))
 
 
 class TestOptimize:
@@ -68,8 +70,6 @@ class TestOptimize:
         assert result.model.observed_throughput > 0
 
     def test_one_liner_accepts_spec(self, small_catalog, test_machine):
-        from repro.core.spec import OptimizeSpec
-
         result = optimize_pipeline(
             two_stage_pipeline(small_catalog), test_machine,
             spec=OptimizeSpec(iterations=1, backend="analytic",
@@ -147,7 +147,8 @@ class TestOptimizeDecorator:
     def test_decorator_returns_optimized_pipeline(
         self, small_catalog, test_machine
     ):
-        @optimize(test_machine, trace_duration=1.0, trace_warmup=0.2)
+        @optimize(test_machine,
+                  spec=OptimizeSpec(trace_duration=1.0, trace_warmup=0.2))
         def loader():
             return two_stage_pipeline(small_catalog)
 
@@ -172,12 +173,8 @@ class TestOptimizeDecorator:
                 .build("fused" if fused else "unfused")
             )
 
-        @optimize(
-            test_machine,
-            pick_best={"fused": [True, False]},
-            trace_duration=1.0,
-            trace_warmup=0.2,
-        )
+        @optimize(test_machine, pick_best={"fused": [True, False]},
+                  spec=OptimizeSpec(trace_duration=1.0, trace_warmup=0.2))
         def loader(fused=False):
             return build(fused)
 
@@ -207,7 +204,7 @@ class TestPassTelemetry:
         self, small_catalog, test_machine
     ):
         passes = ("parallelism", "prefetch", "cache")
-        plumber = Plumber(test_machine, backend="analytic")
+        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"))
         result = plumber.optimize(
             two_stage_pipeline(small_catalog), passes=passes, iterations=2
         )
@@ -222,9 +219,8 @@ class TestPassTelemetry:
         self, small_catalog, test_machine
     ):
         ticks = iter(float(i) for i in range(100))
-        plumber = Plumber(
-            test_machine, backend="analytic", monotonic=lambda: next(ticks)
-        )
+        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"),
+                          monotonic=lambda: next(ticks))
         result = plumber.optimize(
             two_stage_pipeline(small_catalog), passes=("parallelism",)
         )
@@ -236,7 +232,7 @@ class TestPassTelemetry:
     ):
         import math
 
-        plumber = Plumber(test_machine, backend="analytic")
+        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"))
         result = plumber.optimize(two_stage_pipeline(small_catalog))
         par = next(
             e for e in result.pass_telemetry if e["pass"] == "parallelism"
@@ -265,7 +261,7 @@ class TestPassTelemetry:
         hist = global_registry().histogram("repro_pass_seconds")
         cell = hist.labels(**{"pass": "parallelism"})
         before = cell.count
-        Plumber(test_machine, backend="analytic").optimize(
+        Plumber(test_machine, spec=OptimizeSpec(backend="analytic")).optimize(
             two_stage_pipeline(small_catalog),
             passes=("parallelism",), iterations=1,
         )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
 from repro.graph.serialize import (
     pipeline_from_dict,
@@ -163,7 +164,9 @@ class TestRewrittenRoundTrip:
         from repro.core.plumber import Plumber
         from repro.graph.signature import structural_signature
 
-        plumber = Plumber(test_machine, trace_duration=1.0, trace_warmup=0.25)
+        plumber = Plumber(test_machine,
+                          spec=OptimizeSpec(trace_duration=1.0,
+                                            trace_warmup=0.25))
         result = plumber.optimize(self.base(small_catalog), iterations=1)
         text = pipeline_to_json(result.pipeline)
         restored = pipeline_from_json(text)

@@ -7,7 +7,13 @@ import math
 import pytest
 
 from repro.baselines.naive import naive_config
-from repro.core import Plumber, PipelineTrace, build_model, explain
+from repro.core import (
+    OptimizeSpec,
+    PipelineTrace,
+    Plumber,
+    build_model,
+    explain,
+)
 from repro.core.rewriter import existing_cache
 from repro.host import setup_a
 from repro.runtime.executor import run_pipeline
@@ -26,7 +32,8 @@ def machine():
 def test_optimize_never_hurts(name, machine):
     """Plumber's full pass beats or matches naive on every workload."""
     pipe = naive_config(get_workload(name).build(scale=SCALES[name]))
-    plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     before = run_pipeline(pipe, machine, duration=1.5, warmup=0.4,
                           trace=False)
     result = plumber.optimize(pipe)
@@ -39,7 +46,8 @@ def test_optimize_never_hurts(name, machine):
 def test_offline_trace_round_trip(name, machine):
     """A trace serialized to JSON drives the same offline analysis."""
     pipe = get_workload(name).build(scale=SCALES[name])
-    plumber = Plumber(machine, trace_duration=1.2, trace_warmup=0.3)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.2, trace_warmup=0.3))
     trace = plumber.trace(pipe)
     restored = PipelineTrace.from_json(trace.to_json())
     model_a = build_model(trace)
@@ -52,7 +60,8 @@ def test_offline_trace_round_trip(name, machine):
 
 
 def test_explain_renders_for_all_workloads(machine):
-    plumber = Plumber(machine, trace_duration=1.0, trace_warmup=0.3)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.0, trace_warmup=0.3))
     for name in MICROBENCH_WORKLOADS:
         model = plumber.model(get_workload(name).build(scale=SCALES[name]))
         report = explain(model)
@@ -62,7 +71,8 @@ def test_explain_renders_for_all_workloads(machine):
 
 def test_cache_decision_respects_machine_memory(machine):
     """On Setup A, decoded ImageNet does not fit; the source does."""
-    plumber = Plumber(machine, trace_duration=1.5, trace_warmup=0.4)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     pipe = get_workload("resnet").build(scale=0.05)  # 7.4 GB source
     result = plumber.optimize(pipe)
     assert result.cache is not None
@@ -75,7 +85,8 @@ def test_optimized_pipeline_is_serializable(machine):
     """The rewritten program (with injected prefetch/cache) round-trips."""
     from repro.graph.serialize import pipeline_from_json, pipeline_to_json
 
-    plumber = Plumber(machine, trace_duration=1.0, trace_warmup=0.3)
+    plumber = Plumber(machine,
+                      spec=OptimizeSpec(trace_duration=1.0, trace_warmup=0.3))
     result = plumber.optimize(get_workload("ssd").build(scale=0.25))
     text = pipeline_to_json(result.pipeline)
     restored = pipeline_from_json(text)

@@ -152,36 +152,6 @@ class TestServiceCacheIdentity:
             serial.model.observed_throughput
         )
 
-    def test_legacy_positional_construction_still_works(self, small_catalog,
-                                                        test_machine):
-        """Pre-spec callers built jobs positionally as (name, pipeline,
-        machine, granularity, backend); the new `spec` field must not
-        shift that surface."""
-        pipe = small_pipeline(small_catalog)
-        with pytest.warns(DeprecationWarning):
-            job = OptimizationJob("j", pipe, test_machine, 8, "analytic")
-        assert job.granularity == 8
-        assert job.backend == "analytic"
-        assert job.spec is None
-
-    def test_deprecated_fields_warn_and_fold_into_spec(self, small_catalog,
-                                                       test_machine):
-        pipe = small_pipeline(small_catalog)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = OptimizationJob("legacy", pipe, test_machine,
-                                     backend="analytic", granularity=8)
-        svc = self._svc(test_machine, iterations=1, trace_duration=1.0,
-                        trace_warmup=0.25)
-        modern = OptimizationJob(
-            "modern", pipe, test_machine,
-            spec=svc.spec.replace(backend="analytic", granularity=8),
-        )
-        report = svc.optimize_fleet([legacy, modern])
-        # Identical effective specs: the legacy job's folded identity
-        # matches the spec-first job, so the second is a cache hit.
-        assert report.cache_misses == 1
-        assert report.cache_hits == 1
-
     def test_spec_with_pass_objects_rejected_by_service(self,
                                                         small_catalog,
                                                         test_machine):
@@ -276,6 +246,17 @@ class TestCacheTokenProperties:
             ]})
             assert self._key(mutated) != self._key(spec), field
 
+    @pytest.mark.parametrize("spec, key", [
+        (OptimizeSpec(),
+         "dee78d3fac73a26ad20648bbb157a00c25ada7692e88d7fd1758fb71184739e1"),
+        (OptimizeSpec(backend="analytic"),
+         "899dfbc4bfe89101e4e608c38fd226f9048bf6e382be432fbb6f7fefb3fc1f71"),
+    ])
+    def test_pinned_cache_keys(self, spec, key):
+        """Literal keys: a change to the token's layout or defaults would
+        silently orphan every entry in existing on-disk stores."""
+        assert self._key(spec) == key
+
     def test_schema_version_is_part_of_the_token(self, monkeypatch):
         """Bumping the store schema must invalidate every cache key."""
         before = self._key(OptimizeSpec())
@@ -323,18 +304,21 @@ class TestCacheTokenProperties:
 class TestPlumberSpec:
     def test_spec_and_legacy_kwargs_equivalent(self, small_catalog,
                                                test_machine):
+        """The call-level ``optimize(iterations=...)`` keyword is the same
+        as setting the spec field."""
         from repro.core.plumber import Plumber
         from tests.test_core_lp import two_stage_pipeline
 
         pipe = two_stage_pipeline(small_catalog)
-        legacy = Plumber(test_machine, trace_duration=1.5, trace_warmup=0.3,
-                         backend="analytic").optimize(pipe, iterations=1)
         spec = OptimizeSpec(trace_duration=1.5, trace_warmup=0.3,
-                            backend="analytic", iterations=1)
-        modern = Plumber(test_machine, spec=spec).optimize(pipe)
-        assert modern.decisions == legacy.decisions
+                            backend="analytic")
+        call_level = Plumber(test_machine, spec=spec).optimize(
+            pipe, iterations=1)
+        modern = Plumber(test_machine,
+                         spec=spec.replace(iterations=1)).optimize(pipe)
+        assert modern.decisions == call_level.decisions
         assert modern.model.observed_throughput == pytest.approx(
-            legacy.model.observed_throughput
+            call_level.model.observed_throughput
         )
 
     def test_call_level_spec_governs_trace_acquisition(self, small_catalog,
@@ -358,16 +342,6 @@ class TestPlumberSpec:
         # would differ in measured_seconds.
         assert per_call.model.trace.backend == "analytic"
         assert per_call.model.trace.measured_seconds == pytest.approx(0.75)
-
-    def test_legacy_kwargs_override_spec(self, test_machine):
-        from repro.core.plumber import Plumber
-
-        spec = OptimizeSpec(backend="simulate", trace_duration=9.0)
-        plumber = Plumber(test_machine, spec=spec, backend="analytic",
-                          trace_duration=1.0)
-        assert plumber.backend.name == "analytic"
-        assert plumber.trace_duration == 1.0
-        assert plumber.trace_warmup == spec.trace_warmup  # inherited
 
     def test_memory_bytes_caps_cache_planning(self, small_catalog,
                                               test_machine):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
 from repro.runtime.executor import (
     BenchmarkConsumer,
@@ -134,8 +135,9 @@ class TestAutoGranularity:
             .repeat(None, name="r")
             .build("opt_cache")
         )
-        plumber = Plumber(test_machine, trace_duration=3.0,
-                          trace_warmup=0.5)
+        plumber = Plumber(test_machine,
+                          spec=OptimizeSpec(trace_duration=3.0,
+                                            trace_warmup=0.5))
         result = plumber.optimize(pipe, iterations=1)
         assert existing_cache(result.pipeline) is not None
         sim = run_pipeline(result.pipeline, test_machine, duration=3.0,

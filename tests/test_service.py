@@ -1,8 +1,11 @@
 """Tests for the fleet-scale batch optimization service."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 from repro.graph.builder import from_tfrecords
 from repro.graph.signature import structural_signature
@@ -13,6 +16,12 @@ from tests.conftest import make_udf
 #: vision-domain jobs have low element rates, so their traces are
 #: cheap to simulate — the right mix for unit tests
 VISION_ONLY = FleetConfig(domain_weights={"vision": 1.0})
+#: the vision fleet's spec: one pass-pipeline iteration, 3 s traces
+VISION_SPEC = OptimizeSpec(iterations=1, trace_duration=3.0,
+                           trace_warmup=0.5)
+#: a short trace window for single small pipelines
+FAST_SPEC = OptimizeSpec(iterations=1, trace_duration=1.0,
+                         trace_warmup=0.25)
 
 
 def small_pipeline(catalog, parallelism=1, name="svc"):
@@ -79,8 +88,7 @@ class TestBatchOptimizer:
 
     @pytest.fixture(scope="class")
     def report(self, fleet):
-        svc = BatchOptimizer(executor="serial", iterations=1,
-                             trace_duration=3.0, trace_warmup=0.5)
+        svc = BatchOptimizer(executor="serial", spec=VISION_SPEC)
         return svc.optimize_fleet(fleet)
 
     def test_every_job_reported(self, fleet, report):
@@ -103,8 +111,7 @@ class TestBatchOptimizer:
     def test_matches_serial_plumber(self, fleet, report):
         """Pool results are identical to serial Plumber.optimize."""
         job = fleet[1]
-        plumber = Plumber(job.machine, trace_duration=3.0, trace_warmup=0.5)
-        serial = plumber.optimize(job.pipeline, iterations=1)
+        serial = Plumber(job.machine, spec=VISION_SPEC).optimize(job.pipeline)
         got = report.job(job.name)
         assert got.decisions == tuple(serial.decisions)
         assert got.optimized_throughput == pytest.approx(
@@ -127,8 +134,7 @@ class TestBatchOptimizer:
         assert hit.pipeline.name == hit.name
 
     def test_persistent_cache_across_calls(self, fleet):
-        svc = BatchOptimizer(executor="serial", iterations=1,
-                             trace_duration=3.0, trace_warmup=0.5)
+        svc = BatchOptimizer(executor="serial", spec=VISION_SPEC)
         first = svc.optimize_fleet(fleet[:2])
         second = svc.optimize_fleet(fleet[:2])
         assert first.cache_misses == 2
@@ -136,8 +142,8 @@ class TestBatchOptimizer:
         assert second.cache_hits == 2
 
     def test_thread_pool_matches_serial(self, fleet, report):
-        svc = BatchOptimizer(executor="thread", max_workers=2, iterations=1,
-                             trace_duration=3.0, trace_warmup=0.5)
+        svc = BatchOptimizer(executor="thread", max_workers=2,
+                             spec=VISION_SPEC)
         threaded = svc.optimize_fleet(fleet)
         for a, b in zip(threaded.jobs, report.jobs):
             assert a.decisions == b.decisions
@@ -167,8 +173,7 @@ class TestJobInputs:
     def test_mapping_input_uses_default_machine(self, small_catalog,
                                                 test_machine):
         svc = BatchOptimizer(machine=test_machine, executor="serial",
-                             iterations=1, trace_duration=1.0,
-                             trace_warmup=0.25)
+                             spec=FAST_SPEC)
         report = svc.optimize_fleet({
             "one": small_pipeline(small_catalog, name="one"),
             "two": small_pipeline(small_catalog, name="two"),
@@ -193,31 +198,31 @@ class TestJobInputs:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
-            BatchOptimizer(executor="serial", backend="oracle")
+            BatchOptimizer(executor="serial",
+                           spec=OptimizeSpec(backend="oracle"))
 
     def test_backend_object_rejected_at_service_level(self):
         from repro.runtime.backends import AnalyticBackend
 
         with pytest.raises(TypeError, match="registered backend name"):
-            BatchOptimizer(executor="serial", backend=AnalyticBackend())
+            BatchOptimizer(executor="serial",
+                           spec=OptimizeSpec(backend=AnalyticBackend()))
 
     def test_optimize_one(self, small_catalog, test_machine):
         svc = BatchOptimizer(machine=test_machine, executor="serial",
-                             iterations=1, trace_duration=1.0,
-                             trace_warmup=0.25)
+                             spec=FAST_SPEC)
         result = svc.optimize_one("solo", small_pipeline(small_catalog))
         assert result.name == "solo"
         assert not result.cache_hit
 
 
 class TestPerJobOverrides:
-    """Per-job granularity/backend settings are honoured and are part of
-    each job's cache identity."""
+    """Per-job specs (e.g. a different backend or granularity) are
+    honoured and are part of each job's cache identity."""
 
-    def _svc(self, test_machine, **kwargs):
+    def _svc(self, test_machine, spec=FAST_SPEC):
         return BatchOptimizer(machine=test_machine, executor="serial",
-                              iterations=1, trace_duration=1.0,
-                              trace_warmup=0.25, **kwargs)
+                              spec=spec)
 
     def test_backend_override_splits_cache_entries(self, small_catalog,
                                                    test_machine):
@@ -227,7 +232,8 @@ class TestPerJobOverrides:
         svc = self._svc(test_machine)
         report = svc.optimize_fleet([
             OptimizationJob("sim", pipe, test_machine),
-            OptimizationJob("ana", pipe, test_machine, backend="analytic"),
+            OptimizationJob("ana", pipe, test_machine,
+                            spec=FAST_SPEC.replace(backend="analytic")),
         ])
         # Structurally identical, but a trace's backend is part of its
         # identity: no cache sharing across backends.
@@ -239,9 +245,10 @@ class TestPerJobOverrides:
 
         pipe = small_pipeline(small_catalog)
         svc = self._svc(test_machine)
+        analytic = FAST_SPEC.replace(backend="analytic")
         report = svc.optimize_fleet([
-            OptimizationJob("a", pipe, test_machine, backend="analytic"),
-            OptimizationJob("b", pipe, test_machine, backend="analytic"),
+            OptimizationJob("a", pipe, test_machine, spec=analytic),
+            OptimizationJob("b", pipe, test_machine, spec=analytic),
         ])
         assert report.cache_misses == 1
         assert report.cache_hits == 1
@@ -253,25 +260,26 @@ class TestPerJobOverrides:
         pipe = small_pipeline(small_catalog)
         svc = self._svc(test_machine)
         report = svc.optimize_fleet([
-            OptimizationJob("fine", pipe, test_machine, granularity=1),
-            OptimizationJob("coarse", pipe, test_machine, granularity=8),
+            OptimizationJob("fine", pipe, test_machine,
+                            spec=FAST_SPEC.replace(granularity=1)),
+            OptimizationJob("coarse", pipe, test_machine,
+                            spec=FAST_SPEC.replace(granularity=8)),
         ])
         assert report.cache_misses == 2
 
     def test_service_wide_analytic_backend(self, small_catalog,
                                            test_machine):
         pipe = small_pipeline(small_catalog)
-        svc = self._svc(test_machine, backend="analytic")
+        svc = self._svc(test_machine, FAST_SPEC.replace(backend="analytic"))
         result = svc.optimize_one("solo", pipe)
         assert result.optimized_throughput > 0
 
     def test_analytic_service_matches_analytic_plumber(self, small_catalog,
                                                        test_machine):
         pipe = small_pipeline(small_catalog)
-        svc = self._svc(test_machine, backend="analytic")
-        got = svc.optimize_one("solo", pipe)
-        serial = Plumber(test_machine, trace_duration=1.0, trace_warmup=0.25,
-                         backend="analytic").optimize(pipe, iterations=1)
+        analytic = FAST_SPEC.replace(backend="analytic")
+        got = self._svc(test_machine, analytic).optimize_one("solo", pipe)
+        serial = Plumber(test_machine, spec=analytic).optimize(pipe)
         assert got.decisions == tuple(serial.decisions)
         assert got.optimized_throughput == pytest.approx(
             serial.model.observed_throughput
@@ -285,40 +293,22 @@ class TestPerJobOverrides:
         with pytest.raises(ValueError, match="backend"):
             svc.optimize_fleet([
                 OptimizationJob("bad", small_pipeline(small_catalog),
-                                test_machine, backend="oracle"),
+                                test_machine,
+                                spec=FAST_SPEC.replace(backend="oracle")),
             ])
 
-    def test_fleet_generator_stamps_overrides(self):
-        jobs = generate_pipeline_fleet(
-            num_jobs=4, distinct=2, seed=7,
-            config=FleetConfig(
-                domain_weights={"vision": 1.0},
-                trace_backend="analytic",
-                trace_granularity=4,
-                domain_granularity={"vision": 12},
-            ),
-        )
-        assert all(j.backend == "analytic" for j in jobs)
-        assert all(j.granularity == 12 for j in jobs)  # domain wins
-
     def test_fleet_config_stamps_optimize_spec(self):
-        from repro.core.spec import OptimizeSpec
-
         spec = OptimizeSpec(iterations=1, backend="analytic")
         jobs = generate_pipeline_fleet(
             num_jobs=4, distinct=2, seed=7,
             config=FleetConfig(
                 domain_weights={"vision": 1.0},
                 optimize_spec=spec,
-                domain_granularity={"vision": 12},
             ),
         )
-        # The domain granularity override folds into the stamped spec.
-        assert all(j.spec == spec.replace(granularity=12) for j in jobs)
+        assert all(j.spec == spec for j in jobs)
 
     def test_fleet_spec_flows_into_service(self, test_machine):
-        from repro.core.spec import OptimizeSpec
-
         spec = OptimizeSpec(iterations=1, backend="analytic",
                             trace_duration=1.0, trace_warmup=0.25)
         jobs = generate_pipeline_fleet(
@@ -332,15 +322,21 @@ class TestPerJobOverrides:
         assert all(j.optimized_throughput > 0 for j in report.jobs)
 
     def test_fleet_overrides_flow_into_service(self, test_machine):
+        """Per-domain specs: replace ``spec`` on the generated jobs."""
         jobs = generate_pipeline_fleet(
             num_jobs=4, distinct=2, seed=7,
-            config=FleetConfig(domain_weights={"vision": 1.0},
-                               trace_backend="analytic"),
+            config=FleetConfig(domain_weights={"vision": 1.0}),
         )
-        svc = BatchOptimizer(executor="serial", iterations=1)
+        analytic = OptimizeSpec(iterations=1, backend="analytic")
+        jobs = [dataclasses.replace(j, spec=analytic)
+                if j.domain == "vision" else j for j in jobs]
+        svc = BatchOptimizer(executor="serial",
+                             spec=OptimizeSpec(iterations=1))
         report = svc.optimize_fleet(jobs)
         assert report.cache_misses == 2
         assert all(j.optimized_throughput > 0 for j in report.jobs)
+        assert all(j.provenance["spec"] == analytic.to_dict()
+                   for j in report.jobs)
 
 
 class TestProcessPool:
@@ -348,10 +344,10 @@ class TestProcessPool:
         """One tiny job through a real process pool: the serialized hop
         (pipeline JSON out, rewritten program back) must be lossless."""
         pipe = small_pipeline(small_catalog)
-        kwargs = dict(machine=test_machine, iterations=1,
-                      trace_duration=1.0, trace_warmup=0.25)
-        serial = BatchOptimizer(executor="serial", **kwargs)
-        procs = BatchOptimizer(executor="process", max_workers=1, **kwargs)
+        serial = BatchOptimizer(machine=test_machine, executor="serial",
+                                spec=FAST_SPEC)
+        procs = BatchOptimizer(machine=test_machine, executor="process",
+                               max_workers=1, spec=FAST_SPEC)
         a = serial.optimize_fleet({"j": pipe}).jobs[0]
         b = procs.optimize_fleet({"j": pipe}).jobs[0]
         assert a.decisions == b.decisions

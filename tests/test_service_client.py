@@ -11,7 +11,6 @@ import json
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from types import SimpleNamespace
 
 import pytest
 
@@ -80,24 +79,6 @@ class TestWireFormat:
         body = fleet_to_body([job], spec=FAST_SPEC.replace(iterations=2))
         assert body["spec"]["iterations"] == 2
         assert body["jobs"][0]["spec"] == FAST_SPEC.to_dict()
-
-    def test_loose_knobs_fold_into_spec(self, small_catalog, test_machine):
-        """Deprecated granularity/backend attributes survive the wire
-        by folding into the job's (or the batch's) OptimizeSpec."""
-        entry = SimpleNamespace(
-            name="a", pipeline=small_pipeline(small_catalog),
-            machine=test_machine, spec=None, granularity=4, backend=None)
-        body = fleet_to_body([entry], spec=FAST_SPEC)
-        assert body["jobs"][0]["spec"] == \
-            FAST_SPEC.with_overrides(granularity=4).to_dict()
-
-    def test_loose_knobs_without_spec_rejected(self, small_catalog,
-                                               test_machine):
-        entry = SimpleNamespace(
-            name="a", pipeline=small_pipeline(small_catalog),
-            machine=test_machine, spec=None, granularity=4, backend=None)
-        with pytest.raises(ValueError, match="no OptimizeSpec"):
-            fleet_to_body([entry])
 
     def test_long_tuples_rejected(self, small_catalog, test_machine):
         with pytest.raises(ValueError, match="OptimizeSpec instead"):

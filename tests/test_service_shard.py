@@ -11,9 +11,7 @@ from repro.service import (
     FleetOptimizationReport,
     JobResult,
     ShardedOptimizer,
-    merge_fleet_reports,
     shard_fleet,
-    shard_index,
 )
 from tests.test_service import small_pipeline
 
@@ -79,13 +77,9 @@ class TestShardFleet:
         flat = [entry for shard in shards for entry in shard]
         assert sorted(name for name, _ in flat) == ["a", "b"]
 
-    def test_shard_index_matches_signature_hash(self, small_catalog):
-        sig = structural_signature(small_pipeline(small_catalog))
-        assert shard_index(sig, 5) == int(sig, 16) % 5
-
     def test_invalid_inputs_rejected(self, small_catalog):
-        with pytest.raises(ValueError, match="num_shards"):
-            shard_index("ff", 0)
+        with pytest.raises(ValueError, match="num_hosts"):
+            shard_fleet(make_fleet(), 0)
         with pytest.raises(ValueError, match="job tuples"):
             shard_fleet([("only-name",)], 2)
 
@@ -122,7 +116,7 @@ class TestMergeArithmetic:
     def test_merge_falls_back_to_signature_without_keys(self):
         jobs = [_result("x", "sigX", False, ""),
                 _result("y", "sigX", False, "")]
-        merged = merge_fleet_reports([
+        merged = FleetOptimizationReport.merge([
             FleetOptimizationReport(jobs=[j], cache_hits=0, cache_misses=1)
             for j in jobs
         ])

@@ -16,6 +16,7 @@ import pytest
 from repro.core.lp import solve_allocation
 from repro.core.plumber import Plumber
 from repro.core.rates import build_model
+from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 from repro.graph.builder import from_tfrecords
 from repro.host.machine import setup_a
@@ -86,7 +87,8 @@ class TestOptimizeParity:
     def test_full_optimize_agrees_on_resnet(self, machine):
         pipe = MICROBENCH_WORKLOADS["resnet"].build(scale=0.01)
         sim = Plumber(machine).optimize(pipe, iterations=1)
-        ana = Plumber(machine, backend="analytic").optimize(pipe, iterations=1)
+        ana = Plumber(machine, spec=OptimizeSpec(backend="analytic")).optimize(
+            pipe, iterations=1)
         assert ana.bottleneck == sim.bottleneck
         assert ana.model.observed_throughput == pytest.approx(
             sim.model.observed_throughput, rel=THROUGHPUT_TOLERANCE
@@ -127,7 +129,7 @@ class TestBackendProtocol:
                 return analytic_trace(pipeline, mach, config)
 
         backend = Recorded()
-        plumber = Plumber(machine, backend=backend)
+        plumber = Plumber(machine, spec=OptimizeSpec(backend=backend))
         trace = plumber.trace(simple_pipeline)
         assert backend.calls == 1
         assert trace.backend == "analytic"  # delegate stamped it
@@ -301,8 +303,9 @@ class TestMixedDomainFleet:
         assert len(fleet) >= 9
 
     def test_analytic_fleet_end_to_end(self, fleet):
-        svc = BatchOptimizer(executor="serial", iterations=1,
-                             backend="analytic")
+        svc = BatchOptimizer(executor="serial",
+                             spec=OptimizeSpec(iterations=1,
+                                               backend="analytic"))
         report = svc.optimize_fleet(fleet)
         assert len(report.jobs) == len(fleet)
         for job in report.jobs:
