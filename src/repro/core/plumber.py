@@ -129,7 +129,6 @@ class Plumber:
                 "event_budget", self.spec.event_budget
             ),
             trace=overrides.pop("trace", True),
-            engine=overrides.pop("engine", self.spec.sim_engine),
             **overrides,
         )
         return backend.trace(pipeline, self.machine, config)
@@ -153,7 +152,6 @@ class Plumber:
             granularity=spec.granularity,
             event_budget=spec.event_budget,
             trace=True,
-            engine=spec.sim_engine,
         )
         backend = resolve_backend(spec.backend)
         return self.analyze(backend.trace(pipeline, self.machine, config))

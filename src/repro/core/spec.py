@@ -34,7 +34,7 @@ DEFAULT_PASSES = ("parallelism", "prefetch", "cache")
 #: bumping it invalidates every existing cache key at once — a disk
 #: store populated by an older schema can never serve an entry whose
 #: layout this code no longer understands.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,6 @@ class OptimizeSpec:
     allocate_remaining:
         Whether the parallelism pass pushes leftover cores onto the
         bottleneck node (§5.4 behaviour).
-    sim_engine:
-        Simulation engine for simulate-backend traces: ``"vectorized"``
-        (default) or ``"reference"``. The engines emit byte-identical
-        traces (the golden corpus enforces it), so this is a
-        speed/auditability knob, not a fidelity one.
     """
 
     passes: Tuple = DEFAULT_PASSES
@@ -84,7 +79,6 @@ class OptimizeSpec:
     trace_warmup: float = 0.5
     memory_bytes: Optional[float] = None
     allocate_remaining: bool = True
-    sim_engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passes", tuple(self.passes))
@@ -104,11 +98,6 @@ class OptimizeSpec:
             )
         if self.memory_bytes is not None and not self.memory_bytes > 0:
             raise ValueError("memory_bytes must be > 0")
-        if self.sim_engine not in ("vectorized", "reference"):
-            raise ValueError(
-                f"sim_engine must be 'vectorized' or 'reference', "
-                f"got {self.sim_engine!r}"
-            )
 
     # ------------------------------------------------------------------
     def replace(self, **changes) -> "OptimizeSpec":
@@ -172,7 +161,6 @@ class OptimizeSpec:
             "trace_warmup": self.trace_warmup,
             "memory_bytes": self.memory_bytes,
             "allocate_remaining": self.allocate_remaining,
-            "sim_engine": self.sim_engine,
         }
 
     def to_dict(self) -> dict:
@@ -192,6 +180,4 @@ class OptimizeSpec:
             trace_warmup=data["trace_warmup"],
             memory_bytes=data["memory_bytes"],
             allocate_remaining=data["allocate_remaining"],
-            # absent in payloads serialized before the engine knob existed
-            sim_engine=data.get("sim_engine", "vectorized"),
         )

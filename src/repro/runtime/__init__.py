@@ -7,7 +7,7 @@ the per-iterator counters Plumber's tracer reads (§4.1: counts, active
 CPU-time, bytes — "less than 144 bytes per Dataset").
 """
 
-from repro.runtime.engine import Compute, Get, Put, Read, Simulation, Timeout
+from repro.runtime.engine import Simulation
 from repro.runtime.executor import (
     DEFAULT_EVENT_BUDGET,
     BenchmarkConsumer,
@@ -42,19 +42,14 @@ __all__ = [
     "AnalyticBackend",
     "EquilibriumDiagnostics",
     "BenchmarkConsumer",
-    "Compute",
     "DEFAULT_EVENT_BUDGET",
-    "Get",
     "ModelConsumer",
     "NodeStats",
-    "Put",
-    "Read",
     "RunConfig",
     "RunResult",
     "SimulateBackend",
     "Simulation",
     "StatsBoard",
-    "Timeout",
     "TraceBackend",
     "analytic_trace",
     "auto_granularity",

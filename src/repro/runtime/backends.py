@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Dict, Protocol, Union, runtime_checkable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.trace import PipelineTrace
 
-import dataclasses
 import time
 
 from repro.graph.datasets import Pipeline
@@ -76,30 +75,15 @@ class TraceBackend(Protocol):
 
 
 class SimulateBackend:
-    """Discrete-event simulation (the original tracer).
-
-    ``engine`` pins every trace this backend acquires to one simulation
-    engine (``"vectorized"``/``"reference"``) regardless of what the
-    :class:`RunConfig` asks for; ``None`` (the default instance) honors
-    the config. Both engines emit byte-identical traces — the pinned
-    variants exist so audits can force the scalar path end-to-end, e.g.
-    ``register_backend(SimulateBackend(engine="reference"))``.
-    """
+    """Discrete-event simulation (the original tracer)."""
 
     name = "simulate"
-
-    def __init__(self, engine: Union[str, None] = None) -> None:
-        self.engine = engine
-        if engine is not None:
-            self.name = f"simulate-{engine}"
 
     def trace(
         self, pipeline: Pipeline, machine: Machine, config: RunConfig
     ) -> PipelineTrace:
         from repro.core.trace import PipelineTrace
 
-        if self.engine is not None and config.engine != self.engine:
-            config = dataclasses.replace(config, engine=self.engine)
         start = time.monotonic()
         result = run_pipeline(pipeline, machine, config)
         record_trace_wallclock(self.name, time.monotonic() - start)

@@ -1,24 +1,43 @@
 """The discrete-event simulation core.
 
-A process is a Python generator that ``yield``s request objects:
+One event loop (:class:`Simulation`), one bounded queue
+(:class:`SimQueue`), one core scheduler (:class:`CoreScheduler`) and one
+fair-share disk (:class:`FairShareDisk`). Pipeline workers
+(:mod:`repro.runtime.vector`) are state machines whose continuations are
+plain callables: a queue, core or timer wakes a worker by calling the
+continuation with one value — the item, ``None``, or the :data:`EOS`
+sentinel once a queue is closed and drained (the end-of-stream protocol
+between stages).
 
-* :class:`Timeout` — advance the virtual clock for this process,
-* :class:`Compute` — occupy CPU cores via the core scheduler,
-* :class:`Read` — pull bytes through the fair-share disk server,
-* :class:`Put` / :class:`Get` — blocking bounded-queue operations.
+The engine is single-threaded and deterministic; its ordering contract:
 
-The engine is single-threaded and deterministic: events at equal times
-are ordered by insertion sequence. ``Get`` returns either an item or the
-:data:`EOS` sentinel once the queue is closed and drained — that is the
-end-of-stream protocol between pipeline stages.
+* same-timestamp wakes run first-in first-out from a ready deque, as
+  ``(callback, value)`` entries, without touching the heap;
+* a queue handoff wakes two continuations back to back, so it is
+  appended *fused* as one ``(cb1, v1, cb2, v2)`` entry;
+* timed entries due at an instant run before the ready entries created
+  at that instant (they were pushed earlier);
+* a timer whose strictly positive delay vanishes below one ulp of the
+  clock (``now + d <= now``, e.g. a 1e-18 s timer at t=100) runs after
+  the callback that pushed it returns and before the next ready entry —
+  even between the halves of a fused pair; several run first-in
+  first-out (:meth:`Simulation._collapsed`).
+
+Those rules are the ones a plain loop gets by probing the heap before
+every ready entry and waking every process through ``schedule(0.0,
+...)``. That scalar generator engine is kept in the test suite
+(``tests/reference_engine.py``) as the oracle: the golden corpus
+(``tests/golden/``) is captured from it, and the golden and hypothesis
+suites assert this engine reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, List, Optional
+
+_push = heapq.heappush
 
 
 class SimulationError(RuntimeError):
@@ -39,100 +58,40 @@ class _EndOfStream:
         return "EOS"
 
 
-#: End-of-stream sentinel returned by ``Get`` on a closed, empty queue.
+#: End-of-stream sentinel a closed, drained queue wakes getters with.
 EOS = _EndOfStream()
 
 
-# ----------------------------------------------------------------------
-# Request objects yielded by processes.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Timeout:
-    """Sleep for ``delay`` virtual seconds (does not occupy a core)."""
-
-    delay: float
-
-
-@dataclass(frozen=True)
-class Compute:
-    """Occupy ``width`` cores for ``seconds`` of service time."""
-
-    seconds: float
-    width: float = 1.0
-
-
-@dataclass(frozen=True)
-class Read:
-    """Read ``nbytes`` through the disk server."""
-
-    nbytes: float
-
-
-@dataclass(frozen=True)
-class Put:
-    """Put ``item`` into ``queue``, blocking while full."""
-
-    queue: "SimQueue"
-    item: Any
-
-
-@dataclass(frozen=True)
-class Get:
-    """Take one item from ``queue``, blocking while empty.
-
-    Resumes with the item, or :data:`EOS` if the queue is closed and
-    drained.
-    """
-
-    queue: "SimQueue"
-
-
-class Process:
-    """A running generator inside the simulation."""
-
-    __slots__ = ("sim", "gen", "name", "finished")
-
-    def __init__(self, sim: "Simulation", gen: Generator, name: str) -> None:
-        self.sim = sim
-        self.gen = gen
-        self.name = name
-        self.finished = False
-
-    def resume(self, value: Any = None) -> None:
-        """Advance the generator with ``value`` and dispatch its next
-        request. Called only by the engine."""
-        try:
-            request = self.gen.send(value)
-        except StopIteration:
-            self.finished = True
-            return
-        self.sim._dispatch(self, request)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.finished else "live"
-        return f"Process({self.name!r}, {state})"
-
-
 class Simulation:
-    """Event loop with a virtual clock."""
+    """Event loop with a virtual clock and cohort draining.
+
+    Each clock advance runs the timed entries due at the new instant,
+    then drains the whole same-timestamp ready cohort in one inner loop
+    with no per-event heap probe. That is exact because nothing on the
+    heap can become due mid-cohort: every push is strictly in the future
+    except a collapsed one, which :meth:`_collapsed` queues at the front
+    of the ready deque instead. Ready depth and ``events_processed`` are
+    sampled once per cohort (telemetry, not part of the equivalence
+    contract).
+
+    Worker and resource hot paths push timers inline — the expression
+    :meth:`schedule` uses, minus the call — and append wakes to
+    ``_ready`` directly.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: List = []
-        #: same-timestamp resumes, drained FIFO without touching the heap
+        #: same-timestamp wakes: ``(cb, value)`` or fused ``(cb1, v1, cb2, v2)``
         self._ready: Deque = deque()
+        #: collapsed timers awaiting their flush entry, in push order
+        self._pending: Deque = deque()
         self._seq = 0
-        self._handlers = {
-            Timeout: self._handle_timeout,
-            Put: self._handle_put,
-            Get: self._handle_get,
-        }
-        #: set by the executor; handles Compute requests
+        #: set by the executor; serve ``submit`` calls from workers
         self.cores: Optional["CoreScheduler"] = None
-        #: set by the executor; handles Read requests
-        self.disk: Optional[Any] = None
-        #: telemetry, updated once per ``run()``: total callbacks fired
-        #: and the deepest the same-timestamp ready deque ever got
+        self.disk: Optional["FairShareDisk"] = None
+        #: telemetry, updated once per ``run()``: callbacks fired and the
+        #: deepest the ready deque got
         self.events_processed = 0
         self.peak_ready_depth = 0
 
@@ -140,127 +99,114 @@ class Simulation:
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` virtual seconds.
 
-        Zero-delay events — the overwhelming majority (every queue
-        handoff and core grant resumes a process "now") — bypass the
-        heap entirely and join a FIFO ready list. Ordering stays
-        identical to the all-heap implementation: a heap entry due at
-        the current timestamp was necessarily pushed *before* the clock
-        reached it, so it precedes every ready entry created *at* the
-        timestamp, and the FIFO preserves insertion order among ready
-        entries themselves.
+        A zero delay joins the ready deque, which carries at most one
+        value per wake; a timed entry may carry any number of args.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if delay == 0.0:
-            self._ready.append((callback, args))
+            (value,) = args or (None,)
+            self._ready.append((callback, value))
+            return
+        t = self.now + delay
+        if t <= self.now:
+            self._collapsed(callback, args)
             return
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, args))
+        _push(self._heap, (t, self._seq, callback, args))
 
-    def spawn(self, gen: Generator, name: str = "proc") -> Process:
-        """Register a new process and start it at the current time."""
-        proc = Process(self, gen, name)
-        self.schedule(0.0, proc.resume, None)
-        return proc
+    def _collapsed(self, callback: Callable, args: tuple) -> None:
+        """Cold path for a timer pushed with ``now + delay <= now``.
+
+        On a heap-probing loop such an entry is due at once: it runs
+        after the current callback returns and before the next ready
+        entry, in push order with any other collapsed entry. The first
+        one queues a flush entry at the *front* of the ready deque; the
+        rest join :attr:`_pending` behind it. ``run`` drains the flush
+        between the halves of a fused pair too, because the first half
+        (e.g. a getter's continuation) may be the one that pushed.
+        """
+        pending = self._pending
+        if not pending:
+            self._ready.appendleft((self._flush_collapsed, None))
+        pending.append((callback, args))
+
+    def _flush_collapsed(self, _value: Any = None) -> None:
+        # An entry stays queued while it runs, so one it pushes in turn
+        # joins this flush instead of queueing another.
+        pending = self._pending
+        while pending:
+            callback, args = pending[0]
+            callback(*args)
+            pending.popleft()
 
     def run(self, until: float) -> float:
-        """Run events until the clock reaches ``until`` or the event heap
-        drains (e.g. a single-epoch pipeline finished early). Returns the
-        final clock value.
-
-        The loop is the simulator's hottest path (batch optimization runs
-        millions of events per trace). Two structural optimizations:
-
-        * **batched resume scheduling** — all processes ready at the
-          current timestamp live in a FIFO deque and are drained in one
-          pass, so the common put→get→resume chains never pay
-          ``heappush``/``heappop``;
-        * timed entries are popped exactly once — an entry beyond
-          ``until`` is pushed back rather than peeked-then-popped.
-
-        Event ordering is deterministic and identical to a pure-heap
-        loop: timed entries due at the current instant run first (they
-        carry earlier insertion sequence numbers by construction), then
-        ready entries in insertion order. A ready callback can only
-        append to the ready deque or schedule strictly-future heap
-        entries, so the drain terminates per timestamp.
-        """
+        """Run events until the clock reaches ``until`` or no event is
+        left (e.g. a single-epoch pipeline finished early). Returns the
+        final clock value; a stop at ``until`` parks the clock there."""
         heap = self._heap
         ready = self._ready
+        pending = self._pending
         pop = heapq.heappop
-        # Telemetry stays in locals inside the hot loop (one add / one
-        # compare per event) and is flushed to the instance on exit.
+        popleft = ready.popleft
         events = 0
         peak_ready = self.peak_ready_depth
+        now = self.now
         try:
-            while heap or ready:
-                # Timed events due exactly now (scheduled before the clock
-                # reached this instant) precede any same-timestamp resume.
-                while heap and heap[0][0] <= self.now:
-                    entry = pop(heap)
-                    events += 1
-                    entry[2](*entry[3])
+            while True:
                 if ready:
                     depth = len(ready)
                     if depth > peak_ready:
                         peak_ready = depth
-                    callback, args = ready.popleft()
-                    events += 1
-                    callback(*args)
-                    continue
+                    events += depth
+                    while ready:
+                        e = popleft()
+                        if len(e) == 2:
+                            e[0](e[1])
+                        else:
+                            e[0](e[1])
+                            if pending:
+                                # the first half collapsed a timer: its
+                                # flush entry is at the front of ready
+                                f = popleft()
+                                f[0](f[1])
+                            e[2](e[3])
                 if not heap:
                     break
                 time = heap[0][0]
                 if time > until:
                     self.now = until
-                    return self.now
+                    return until
+                # Callbacks never move the clock, so it is mirrored in a
+                # local and written only here.
+                now = time
                 self.now = time
-                entry = pop(heap)
-                events += 1
-                entry[2](*entry[3])
-            return self.now
+                # Later heap entries can share this timestamp (pushed
+                # from earlier instants), so this is a loop.
+                while heap and heap[0][0] <= now:
+                    _t, _s, cb, args = pop(heap)
+                    events += 1
+                    cb(*args)
+            return now
         finally:
             self.events_processed += events
             self.peak_ready_depth = peak_ready
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, proc: Process, request: Any) -> None:
-        handler = self._handlers.get(type(request))
-        if handler is not None:
-            handler(proc, request)
-        elif isinstance(request, Compute):
-            if self.cores is None:
-                raise SimulationError("Compute yielded but no CoreScheduler set")
-            self.cores.submit(proc, request.seconds, request.width)
-        elif isinstance(request, Read):
-            if self.disk is None:
-                raise SimulationError("Read yielded but no disk server set")
-            self.disk.submit(proc, request.nbytes)
-        else:
-            raise SimulationError(f"unknown request {request!r} from {proc!r}")
-
-    def _handle_timeout(self, proc: Process, request: Timeout) -> None:
-        self.schedule(request.delay, proc.resume, None)
-
-    def _handle_put(self, proc: Process, request: Put) -> None:
-        request.queue._put(proc, request.item)
-
-    def _handle_get(self, proc: Process, request: Get) -> None:
-        request.queue._get(proc)
 
 
 class SimQueue:
     """Bounded FIFO queue with blocking put/get and a close protocol.
 
-    Closing wakes all blocked getters with :data:`EOS`, and wakes blocked
-    *putters* by resuming their ``Put`` with :data:`EOS` (the pending item
-    is discarded — the stream has ended, so nothing will consume it); once
-    closed and drained, every ``Get`` resumes immediately with
-    :data:`EOS`.
+    ``_put(resume, item)`` and ``_get(resume)`` take the continuation to
+    wake. A put wakes its ``resume`` with ``None`` once the item is in
+    (or handed to a waiting getter); a get wakes with the item. Closing
+    wakes blocked getters with :data:`EOS`, and blocked *putters* with
+    :data:`EOS` too (their pending item is discarded — nothing will
+    consume it); once closed and drained every get wakes with
+    :data:`EOS`, and a put raises :class:`SimulationError`.
     """
 
     __slots__ = (
-        "sim", "capacity", "name", "items", "_putters", "_getters",
+        "sim", "capacity", "name", "items", "_n", "_putters", "_getters",
         "closed", "_occ_integral", "_occ_last_t", "_created_t",
         "total_puts", "total_gets", "peak_occupancy",
     )
@@ -272,8 +218,10 @@ class SimQueue:
         self.capacity = capacity
         self.name = name
         self.items: Deque[Any] = deque()
-        self._putters: Deque = deque()  # (proc, item)
-        self._getters: Deque[Process] = deque()
+        #: mirrors ``len(self.items)`` so the hot paths read one slot
+        self._n = 0
+        self._putters: Deque = deque()  # (resume, item)
+        self._getters: Deque = deque()  # resume
         self.closed = False
         # Telemetry for the prefetch planner and the batch service's
         # queue report: time-integrated occupancy plus cheap counters.
@@ -288,24 +236,19 @@ class SimQueue:
     def _track(self) -> None:
         now = self.sim.now
         last = self._occ_last_t
-        if now == last:  # bursts at one timestamp dominate; skip the math
-            return
-        self._occ_integral += len(self.items) * (now - last)
-        self._occ_last_t = now
+        if now != last:  # bursts at one timestamp dominate; skip the math
+            self._occ_integral += len(self.items) * (now - last)
+            self._occ_last_t = now
 
     def mean_occupancy(self) -> float:
         """Time-averaged queue length since the queue was created.
 
-        The occupancy integral is divided by *elapsed* time
-        (``now - created``), not the absolute clock — a queue created
-        mid-run would otherwise under-report occupancy to the prefetch
-        planner.
-
-        ``_track`` folds the window up to the current clock into the
-        integral first, so a ``run(until=)`` that stops mid-window (the
-        engine advances the clock to ``until`` before returning) yields
-        the same answer as one stopping on an event boundary at the
-        same instant.
+        The integral is divided by *elapsed* time (``now - created``),
+        not the absolute clock, so a queue created mid-run does not
+        under-report to the prefetch planner. The window up to the
+        current clock is folded in first, so a ``run(until=)`` that
+        stops mid-window agrees with one stopping on an event boundary
+        at the same instant.
         """
         self._track()
         elapsed = self.sim.now - self._created_t
@@ -314,62 +257,72 @@ class SimQueue:
         return self._occ_integral / elapsed
 
     # ------------------------------------------------------------------
-    def _put(self, proc: Process, item: Any) -> None:
+    def _put(self, resume: Callable, item: Any) -> None:
         if self.closed:
             raise SimulationError(f"put on closed queue {self.name!r}")
-        self._track()
+        sim = self.sim
+        now = sim.now
+        n = self._n
+        last = self._occ_last_t
+        if now != last:
+            self._occ_integral += n * (now - last)
+            self._occ_last_t = now
         self.total_puts += 1
-        if self._getters:
-            getter = self._getters.popleft()
-            self.sim.schedule(0.0, getter.resume, item)
-            self.sim.schedule(0.0, proc.resume, None)
-        elif len(self.items) < self.capacity:
+        getters = self._getters
+        if getters:
+            sim._ready.append((getters.popleft(), item, resume, None))
+        elif n < self.capacity:
             self.items.append(item)
-            if len(self.items) > self.peak_occupancy:
-                self.peak_occupancy = len(self.items)
-            self.sim.schedule(0.0, proc.resume, None)
+            n += 1
+            self._n = n
+            if n > self.peak_occupancy:
+                self.peak_occupancy = n
+            sim._ready.append((resume, None))
         else:
-            self._putters.append((proc, item))
+            self._putters.append((resume, item))
 
-    def _get(self, proc: Process) -> None:
-        self._track()
+    def _get(self, resume: Callable) -> None:
+        sim = self.sim
+        now = sim.now
+        items = self.items
+        last = self._occ_last_t
+        if now != last:
+            self._occ_integral += self._n * (now - last)
+            self._occ_last_t = now
         self.total_gets += 1
-        if self.items:
-            item = self.items.popleft()
-            if self._putters:
-                putter, pending = self._putters.popleft()
-                self.items.append(pending)
-                self.sim.schedule(0.0, putter.resume, None)
-            self.sim.schedule(0.0, proc.resume, item)
+        if items:
+            item = items.popleft()
+            putters = self._putters
+            if putters:
+                putter, pending = putters.popleft()
+                items.append(pending)
+                sim._ready.append((putter, None, resume, item))
+            else:
+                self._n -= 1
+                sim._ready.append((resume, item))
         elif self._putters:
             # capacity reached with direct handoff pending
             putter, pending = self._putters.popleft()
-            self.sim.schedule(0.0, putter.resume, None)
-            self.sim.schedule(0.0, proc.resume, pending)
+            sim._ready.append((putter, None, resume, pending))
         elif self.closed:
-            self.sim.schedule(0.0, proc.resume, EOS)
+            sim._ready.append((resume, EOS))
         else:
-            self._getters.append(proc)
+            self._getters.append(resume)
 
     def close(self) -> None:
-        """Mark the stream ended; wake blocked getters *and putters*.
-
-        Getters resume with :data:`EOS` as usual. A producer parked in
-        ``_putters`` when the queue closes must not be leaked: it is
-        resumed with :data:`EOS` (instead of the usual ``None``) so it can
-        observe the closure, and its pending item is discarded. A producer
-        that ignores the sentinel and puts again hits the explicit
-        put-after-close :class:`SimulationError` rather than hanging.
-        """
+        """Mark the stream ended; wake blocked getters *and putters* with
+        :data:`EOS`, getters first."""
         if self.closed:
             return
         self.closed = True
-        while self._getters:
-            getter = self._getters.popleft()
-            self.sim.schedule(0.0, getter.resume, EOS)
-        while self._putters:
-            putter, _pending = self._putters.popleft()
-            self.sim.schedule(0.0, putter.resume, EOS)
+        ready = self.sim._ready
+        getters = self._getters
+        while getters:
+            ready.append((getters.popleft(), EOS))
+        putters = self._putters
+        while putters:
+            putter, _pending = putters.popleft()
+            ready.append((putter, EOS))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -378,15 +331,15 @@ class SimQueue:
 class CoreScheduler:
     """FCFS core allocation with an oversubscription penalty.
 
-    A :class:`Compute` request of width ``w`` (UDF-internal threads)
-    waits for ``w`` free cores, then holds them for the service time
-    inflated by the static oversubscription factor — the mechanism behind
-    the paper's RCNN over-allocation cliff (Obs. 5).
+    ``submit(resume, seconds, width)`` waits for ``width`` free cores
+    (UDF-internal threads), holds them for the service time inflated by
+    the static oversubscription factor — the mechanism behind the
+    paper's RCNN over-allocation cliff (Obs. 5) — then wakes ``resume``.
     """
 
     __slots__ = (
         "sim", "capacity", "free", "_waiting", "penalty",
-        "_busy_integral", "_busy_last_t", "_created_t",
+        "_busy_integral", "_busy_last_t", "_created_t", "_k_finish",
     )
 
     def __init__(
@@ -401,12 +354,13 @@ class CoreScheduler:
         self.sim = sim
         self.capacity = float(capacity)
         self.free = float(capacity)
-        self._waiting: Deque = deque()  # (proc, seconds, width)
+        self._waiting: Deque = deque()  # (resume, seconds, width)
         self.penalty = self._penalty_factor(oversubscription_penalty, total_threads)
         # Telemetry: integral of busy cores over time (CPU utilization).
         self._busy_integral = 0.0
         self._busy_last_t = sim.now
         self._created_t = sim.now
+        self._k_finish = self._finish
 
     def _penalty_factor(self, slope: float, threads: float) -> float:
         if threads <= self.capacity or slope <= 0:
@@ -416,25 +370,19 @@ class CoreScheduler:
     def _track(self) -> None:
         now = self.sim.now
         last = self._busy_last_t
-        if now == last:
-            return
-        self._busy_integral += (self.capacity - self.free) * (now - last)
-        self._busy_last_t = now
+        if now != last:
+            self._busy_integral += (self.capacity - self.free) * (now - last)
+            self._busy_last_t = now
 
     def utilization(self, duration: Optional[float] = None) -> float:
         """Mean fraction of cores busy over ``duration``.
 
         With ``duration=None`` the busy integral is divided by elapsed
-        time since the scheduler was created (``sim.now - created``) —
-        the same convention :meth:`SimQueue.mean_occupancy` uses, so the
-        two telemetry surfaces agree whether ``run(until=)`` stopped at
-        an event boundary or mid-window (``run`` advances the clock to
-        ``until`` on a mid-window stop, and ``_track`` folds the partial
-        window into the integral at the current busy level).
-
-        Passing an explicit ``duration`` keeps the historical behavior
-        of normalizing against a caller-chosen window (the executor
-        passes the run's final clock value).
+        time since the scheduler was created — the convention
+        :meth:`SimQueue.mean_occupancy` uses, with the partial window up
+        to the current clock folded in the same way. An explicit
+        ``duration`` normalizes against a caller-chosen window (the
+        executor passes the run's final clock value).
         """
         self._track()
         if duration is None:
@@ -444,30 +392,59 @@ class CoreScheduler:
         return self._busy_integral / (self.capacity * duration)
 
     # ------------------------------------------------------------------
-    def submit(self, proc: Process, seconds: float, width: float) -> None:
-        width = min(width, self.capacity)
+    def submit(self, resume: Callable, seconds: float, width: float) -> None:
+        if width > self.capacity:
+            width = self.capacity
         if seconds < 0:
             raise SimulationError(f"negative compute time {seconds}")
         if seconds == 0:
-            self.sim.schedule(0.0, proc.resume, None)
+            self.sim._ready.append((resume, None))
             return
         if self.free >= width and not self._waiting:
-            self._start(proc, seconds, width)
+            # _start inlined (the no-contention fast path)
+            sim = self.sim
+            now = sim.now
+            last = self._busy_last_t
+            if now != last:
+                self._busy_integral += (self.capacity - self.free) * (now - last)
+                self._busy_last_t = now
+            self.free -= width
+            t = now + seconds * self.penalty
+            if t <= now:
+                sim._collapsed(self._k_finish, (resume, width))
+                return
+            sim._seq += 1
+            _push(sim._heap, (t, sim._seq, self._k_finish, (resume, width)))
         else:
-            self._waiting.append((proc, seconds, width))
+            self._waiting.append((resume, seconds, width))
 
-    def _start(self, proc: Process, seconds: float, width: float) -> None:
-        self._track()
+    def _start(self, resume: Callable, seconds: float, width: float) -> None:
+        sim = self.sim
+        now = sim.now
+        last = self._busy_last_t
+        if now != last:
+            self._busy_integral += (self.capacity - self.free) * (now - last)
+            self._busy_last_t = now
         self.free -= width
-        self.sim.schedule(seconds * self.penalty, self._finish, proc, width)
+        t = now + seconds * self.penalty
+        if t <= now:
+            sim._collapsed(self._k_finish, (resume, width))
+            return
+        sim._seq += 1
+        _push(sim._heap, (t, sim._seq, self._k_finish, (resume, width)))
 
-    def _finish(self, proc: Process, width: float) -> None:
-        self._track()
+    def _finish(self, resume: Callable, width: float) -> None:
+        sim = self.sim
+        now = sim.now
+        last = self._busy_last_t
+        if now != last:
+            self._busy_integral += (self.capacity - self.free) * (now - last)
+            self._busy_last_t = now
         self.free += width
-        self.sim.schedule(0.0, proc.resume, None)
-        while self._waiting and self.free >= self._waiting[0][2]:
-            waiting_proc, seconds, w = self._waiting.popleft()
-            self._start(waiting_proc, seconds, w)
+        sim._ready.append((resume, None))
+        waiting = self._waiting
+        while waiting and self.free >= waiting[0][2]:
+            self._start(*waiting.popleft())
 
 
 class FairShareDisk:
@@ -476,7 +453,8 @@ class FairShareDisk:
     Active reads share aggregate bandwidth ``B(k)`` equally, where ``k``
     is the number of concurrent streams; the aggregate follows the
     spec's parallelism curve. Per-read fixed latency models seek/request
-    setup.
+    setup. A reader is any object with a ``resume`` continuation; the
+    disk reads it when the read completes.
     """
 
     #: reads with fewer remaining bytes than this are considered done
@@ -494,7 +472,7 @@ class FairShareDisk:
         self.total_bytes = 0.0
 
     # ------------------------------------------------------------------
-    def submit(self, proc: Process, nbytes: float) -> None:
+    def submit(self, proc: Any, nbytes: float) -> None:
         if nbytes < 0:
             raise SimulationError(f"negative read size {nbytes}")
         if nbytes == 0:
@@ -506,7 +484,7 @@ class FairShareDisk:
         else:
             self._admit(proc, nbytes)
 
-    def _admit(self, proc: Process, nbytes: float) -> None:
+    def _admit(self, proc: Any, nbytes: float) -> None:
         self._advance()
         self._active[proc] = nbytes
         self._reschedule()

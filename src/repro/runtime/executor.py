@@ -1,11 +1,16 @@
 """Top-level simulated execution: build, run, and measure a pipeline.
 
-:func:`run_pipeline` wires the iterator workers together on a simulated
-:class:`~repro.host.machine.Machine`, runs for a virtual duration with a
-warmup window trimmed, and returns a :class:`RunResult` carrying the
-throughput, per-node counter deltas, consumer ``Next``-latency, and
-resource utilization — everything Plumber's tracer and the fleet
-analysis consume.
+:func:`run_pipeline` wires the stage workers (:mod:`repro.runtime.vector`)
+together on a simulated :class:`~repro.host.machine.Machine`, runs for a
+virtual duration with a warmup window trimmed, and returns a
+:class:`RunResult` carrying the throughput, per-node counter deltas,
+consumer ``Next``-latency, and resource utilization — everything
+Plumber's tracer and the fleet analysis consume.
+
+The wiring (:func:`_execute`) reads the engine classes, stage builder
+and consumer from one module. Only the equivalence tests pass another
+one: the reference generator engine in ``tests/reference_engine.py``,
+so the oracle and the shipped engine run under identical wiring.
 """
 
 from __future__ import annotations
@@ -24,30 +29,14 @@ from repro.graph.datasets import (
 from repro.graph.validate import validate_pipeline
 from repro.host.machine import Machine
 from repro.obs import global_registry
-from repro.runtime.engine import (
-    EOS,
-    CoreScheduler,
-    FairShareDisk,
-    Get,
-    SimQueue,
-    Simulation,
-    Timeout,
-)
+from repro.runtime import vector
+from repro.runtime.engine import FairShareDisk, SimQueue
 from repro.runtime.iterators import (
     ExecContext,
     FileCursor,
-    build_stage,
     expected_elements_per_chunk,
 )
 from repro.runtime.stats import NodeStats, StatsBoard
-from repro.runtime.vector import (
-    EngineFallback,
-    TurboCores,
-    TurboQueue,
-    VectorConsumer,
-    VectorSimulation,
-    build_vector_stage,
-)
 
 
 @dataclass
@@ -72,10 +61,6 @@ class ModelConsumer:
             raise ValueError("step time must be >= 0")
 
 
-#: simulation engine implementations selectable via ``RunConfig.engine``
-SIM_ENGINES = ("vectorized", "reference")
-
-
 @dataclass
 class RunConfig:
     """Knobs for one simulated run."""
@@ -89,12 +74,6 @@ class RunConfig:
     #: cap on simulation events per run when ``granularity`` is unset;
     #: the auto-tuner coarsens chunks until the estimate fits
     event_budget: Optional[int] = None
-    #: simulation engine: ``"vectorized"`` (compiled workers, pooled
-    #: wakes, serve-phase chunk replay — the default) or ``"reference"``
-    #: (the scalar generator engine the golden-trace corpus is captured
-    #: from). Both emit byte-identical traces; the reference path is
-    #: retained so the fast path is always checkable.
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -105,11 +84,6 @@ class RunConfig:
             raise ValueError("granularity must be >= 1")
         if self.event_budget is not None and self.event_budget < 1:
             raise ValueError("event_budget must be >= 1")
-        if self.engine not in SIM_ENGINES:
-            raise ValueError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"available: {list(SIM_ENGINES)}"
-            )
 
 
 @dataclass
@@ -139,33 +113,6 @@ class RunResult:
     def examples_per_second(self) -> float:
         """Throughput in examples (images/sentences) per second."""
         return self.throughput * self.pipeline.batch_size()
-
-
-class _Consumer:
-    """Root-queue puller that records minibatch counts and Next latency."""
-
-    def __init__(self, sim: Simulation, root_q: SimQueue, step_per_element: float):
-        self.sim = sim
-        self.root_q = root_q
-        self.step_per_element = step_per_element
-        self.elements = 0.0
-        self.wait_seconds = 0.0
-        self.done = False
-
-    def run(self):
-        while True:
-            t0 = self.sim.now
-            item = yield Get(self.root_q)
-            if item is EOS:
-                self.done = True
-                return
-            self.wait_seconds += self.sim.now - t0
-            self.elements += item.count
-            if self.step_per_element > 0:
-                yield Timeout(self.step_per_element * item.count)
-
-    def snapshot(self) -> tuple:
-        return (self.elements, self.wait_seconds)
 
 
 def _pipeline_epochs(pipeline: Pipeline) -> float:
@@ -310,39 +257,26 @@ def run_pipeline(
     elif config_overrides:
         raise TypeError("pass either a RunConfig or keyword overrides, not both")
     validate_pipeline(pipeline)
-
-    # Both engines share the resource models (queue/cores/disk float
-    # math is inherited, not reimplemented), so their traces are
-    # byte-identical; the vectorized engine swaps the generator workers
-    # and dispatch machinery for compiled tasks and direct wakes.
-    if config.engine == "vectorized":
-        try:
-            return _execute(pipeline, machine, config, vectorized=True)
-        except EngineFallback:
-            # A timer delay vanished below one ulp of the clock — the one
-            # regime whose mid-cohort interleaving the vectorized drain
-            # does not reproduce. The partial run is discarded wholesale
-            # (all engine state is local to _execute) and the pipeline is
-            # replayed on the scalar path, which handles it natively.
-            return _execute(pipeline, machine, config, vectorized=False)
-    return _execute(pipeline, machine, config, vectorized=False)
+    return _execute(pipeline, machine, config)
 
 
 def _execute(
     pipeline: Pipeline,
     machine: Machine,
     config: RunConfig,
-    vectorized: bool,
+    runtime=vector,
 ) -> RunResult:
-    """One simulated run on the selected engine (see :func:`run_pipeline`)."""
-    sim = VectorSimulation() if vectorized else Simulation()
-    threads = _total_threads(pipeline)
-    cores_cls = TurboCores if vectorized else CoreScheduler
-    sim.cores = cores_cls(
+    """One simulated run (see :func:`run_pipeline`).
+
+    ``runtime`` is the module providing ``Simulation``, ``SimQueue``,
+    ``CoreScheduler``, ``build_stage`` and ``Consumer``.
+    """
+    sim = runtime.Simulation()
+    sim.cores = runtime.CoreScheduler(
         sim,
         capacity=machine.cores,
         oversubscription_penalty=machine.oversubscription_penalty,
-        total_threads=threads,
+        total_threads=_total_threads(pipeline),
     )
     sim.disk = FairShareDisk(sim, machine.disk)
 
@@ -387,8 +321,7 @@ def _execute(
             capacity = max(1, int(math.ceil(node.buffer_size / per_chunk)))
         else:
             capacity = max(2, node.effective_parallelism)
-        queue_cls = TurboQueue if vectorized else SimQueue
-        out_q = queue_cls(sim, capacity, name=node.name)
+        out_q = runtime.SimQueue(sim, capacity, name=node.name)
         queues[node.name] = out_q
 
         if isinstance(node, InterleaveSourceNode):
@@ -398,40 +331,29 @@ def _execute(
         else:
             cursor = None
             in_qs = [queues[c.name] for c in node.inputs]
-        if vectorized:
-            tasks = build_vector_stage(
-                node, in_qs, out_q, ctx, stats,
-                cursor=cursor, granularity=granularity,
-                serve_epochs=cache_serve_epochs,
-            )
-            for task in tasks:
-                sim.schedule(0.0, task.start)
-        else:
-            workers = build_stage(
-                node, in_qs, out_q, ctx, stats,
-                cursor=cursor, granularity=granularity,
-                serve_epochs=cache_serve_epochs,
-            )
-            for i, gen in enumerate(workers):
-                sim.spawn(gen, name=f"{node.name}[{i}]")
+        tasks = runtime.build_stage(
+            node, in_qs, out_q, ctx, stats,
+            cursor=cursor, granularity=granularity,
+            serve_epochs=cache_serve_epochs,
+        )
+        for task in tasks:
+            sim.schedule(0.0, task.start)
 
-    consumer_spec = config.consumer
-    consumer_cls = VectorConsumer if vectorized else _Consumer
-    consumer = consumer_cls(
-        sim, queues[pipeline.root.name], consumer_spec.step_seconds_per_element
+    consumer = runtime.Consumer(
+        sim, queues[pipeline.root.name],
+        config.consumer.step_seconds_per_element,
     )
-    if vectorized:
-        sim.schedule(0.0, consumer.start)
-    else:
-        sim.spawn(consumer.run(), name="consumer")
+    sim.schedule(0.0, consumer.start)
 
-    # Warmup snapshot taken mid-run.
+    # Warmup snapshot taken mid-run. The timer fires even after the
+    # stream has drained, so it checks for that itself.
     warm: dict = {}
 
     def take_warm_snapshot() -> None:
-        warm["stats"] = board.snapshot()
-        warm["consumer"] = consumer.snapshot()
-        warm["disk_bytes"] = sim.disk.total_bytes
+        if consumer.drained_at is None:
+            warm["stats"] = board.snapshot()
+            warm["consumer"] = consumer.snapshot()
+            warm["disk_bytes"] = sim.disk.total_bytes
 
     if config.warmup > 0:
         sim.schedule(config.warmup, take_warm_snapshot)
@@ -439,17 +361,17 @@ def _execute(
         take_warm_snapshot()
 
     end_time = sim.run(config.duration)
-    completed = consumer.done
+    completed = consumer.drained_at is not None
 
     if "stats" not in warm:
-        # Drained before warmup ended: measure the whole run instead.
+        # Drained before warmup ended: measure [0, drain instant].
         warm["stats"] = {
             name: NodeStats(name=name, kind=board[name].kind)
             for name in board.names()
         }
         warm["consumer"] = (0.0, 0.0)
         warm["disk_bytes"] = 0.0
-        measured = max(end_time, 1e-12)
+        measured = max(consumer.drained_at, 1e-12)
     else:
         measured = max(end_time - config.warmup, 1e-12)
 
@@ -469,8 +391,8 @@ def _execute(
         "Peak same-timestamp ready-deque depth per simulated run",
     ).observe(sim.peak_ready_depth)
 
-    # Queue telemetry is part of the engine-equivalence contract (the
-    # golden corpus pins it), so both engines surface it identically.
+    # Queue telemetry is part of the equivalence contract the golden
+    # corpus pins.
     queue_stats = {
         name: {
             "total_puts": q.total_puts,

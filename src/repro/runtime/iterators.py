@@ -1,65 +1,25 @@
-"""Worker generators implementing each dataset operator.
+"""Run-scoped pieces the stage workers share.
 
-Elements flow between stages as :class:`Item` chunks carrying a float
-``count`` (elements, in the producing node's own units — minibatches
-after a batch node) and total ``nbytes``. Chunking (the ``granularity``
-knob) trades simulation event count for timing resolution without
-changing any rate: all costs, overheads, and counters scale with
-``count``.
-
-Every worker follows the same shape per chunk:
-
-1. ``Get`` from the input queue (blocked time = upstream starvation),
-2. pay framework overhead (``Timeout`` — occupies the worker thread but
-   no core, and is invisible to CPU-time tracing; see Fig. 9 / §C.3),
-3. pay CPU cost (``Compute`` — occupies cores, visible to tracing),
-4. ``Put`` downstream (blocked time = downstream backpressure).
+Elements flow between stages as chunks of a float ``count`` (elements,
+in the producing node's own units — minibatches after a batch node) and
+total ``nbytes``. Chunking (the ``granularity`` knob) trades simulation
+event count for timing resolution without changing any rate: all costs,
+overheads, and counters scale with ``count``. The workers themselves
+live in :mod:`repro.runtime.vector`; this module holds the per-run
+constants (:class:`ExecContext`), the per-stage close bookkeeping
+(:class:`StageState`), the shared source file iterator
+(:class:`FileCursor`), and the chunk-size arithmetic the executor and
+the analytic backend both use.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Generator, List, Optional
-
 from repro.graph.datasets import (
-    BatchNode,
-    CacheNode,
-    DatasetNode,
-    FilterNode,
     InterleaveDatasetsNode,
     InterleaveSourceNode,
-    MapNode,
-    PrefetchNode,
-    RepeatNode,
-    ShuffleNode,
-    TakeNode,
     ZipNode,
 )
-from repro.runtime.engine import (
-    EOS,
-    Compute,
-    Get,
-    Put,
-    Read,
-    SimQueue,
-    SimulationError,
-    Timeout,
-)
-from repro.runtime.stats import NodeStats
-
-
-@dataclass(frozen=True)
-class Item:
-    """A chunk of ``count`` elements totalling ``nbytes`` bytes."""
-
-    count: float
-    nbytes: float
-
-    @property
-    def bytes_per_element(self) -> float:
-        """Mean element size within the chunk."""
-        return self.nbytes / self.count if self.count > 0 else 0.0
+from repro.runtime.engine import SimQueue
 
 
 class ExecContext:
@@ -79,10 +39,6 @@ class ExecContext:
         self.overhead_per_element = overhead_per_element
         self.memory_limit_bytes = memory_limit_bytes
         self.cache_bytes: dict = {}
-
-    def cpu_cost(self, reference_seconds: float) -> float:
-        """Reference-core seconds scaled to this machine's core speed."""
-        return reference_seconds / self.machine.core_speed
 
 
 class StageState:
@@ -126,466 +82,9 @@ class FileCursor:
         return f
 
 
-# ----------------------------------------------------------------------
-# Worker generators.
-# ----------------------------------------------------------------------
-def _overhead(ctx: ExecContext, stats: NodeStats, count: float):
-    """Yield the framework-overhead timeout for ``count`` elements."""
-    o = ctx.overhead_per_element * count
-    if o > 0:
-        stats.on_overhead(o)
-        return Timeout(o)
-    return None
-
-
 #: buffered readers fetch at least this much per storage request, so
 #: per-request latency is amortized for tiny-record (text) datasets
 READ_BLOCK_BYTES = 1e6
-
-
-def source_worker(
-    node: InterleaveSourceNode,
-    cursor: FileCursor,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-    granularity: int,
-) -> Generator:
-    """One interleave stream: block-buffered reads, chunked record emit."""
-    try:
-        while True:
-            f = cursor.next_file()
-            if f is None:
-                return
-            # File size is known at open (a filesystem stat), which is
-            # how Plumber's tracer sees "bytes read until end of file".
-            stats.on_file_done(f.size_bytes)
-            remaining = f.num_records
-            per_record = f.bytes_per_record
-            unread = f.size_bytes
-            buffered = 0.0
-            while remaining > 0:
-                n = min(granularity, remaining)
-                remaining -= n
-                nbytes = n * per_record
-                if buffered < nbytes and unread > 0:
-                    block = min(max(nbytes, READ_BLOCK_BYTES), unread)
-                    t_read = ctx.sim.now
-                    yield Read(block)
-                    stats.on_io(ctx.sim.now - t_read)
-                    stats.on_read(block)
-                    unread -= block
-                    buffered += block
-                buffered -= nbytes
-                req = _overhead(ctx, stats, n)
-                if req is not None:
-                    yield req
-                if node.read_cpu_seconds_per_record > 0:
-                    svc = ctx.cpu_cost(node.read_cpu_seconds_per_record * n)
-                    yield Compute(svc)
-                    stats.on_cpu(svc * ctx.penalty)
-                stats.on_consume(n)
-                item = Item(count=float(n), nbytes=nbytes)
-                yield Put(out_q, item)
-                stats.on_produce(item.count, item.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def map_worker(
-    node: MapNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Apply a UDF chunk-wise: cost, size, and count transforms."""
-    udf = node.udf
-    width = udf.cost.internal_parallelism
-    try:
-        while True:
-            item = yield Get(in_q)
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            req = _overhead(ctx, stats, item.count)
-            if req is not None:
-                yield req
-            if udf.cost.cpu_seconds > 0:
-                svc = ctx.cpu_cost(udf.cost.cpu_seconds * item.count)
-                yield Compute(svc, width=width)
-                stats.on_cpu(svc * width * ctx.penalty)
-            out_count = item.count * udf.examples_ratio
-            out_bytes = udf.output_size(item.bytes_per_element) * out_count
-            if out_count > 0:
-                out = Item(count=out_count, nbytes=out_bytes)
-                yield Put(out_q, out)
-                stats.on_produce(out.count, out.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def filter_worker(
-    node: FilterNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Sequential predicate: pays CPU on every input, keeps a fraction."""
-    udf = node.udf
-    try:
-        while True:
-            item = yield Get(in_q)
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            req = _overhead(ctx, stats, item.count)
-            if req is not None:
-                yield req
-            if udf.cost.cpu_seconds > 0:
-                svc = ctx.cpu_cost(udf.cost.cpu_seconds * item.count)
-                yield Compute(svc)
-                stats.on_cpu(svc * ctx.penalty)
-            out_count = item.count * node.keep_fraction
-            out_bytes = item.nbytes * node.keep_fraction
-            if out_count > 0:
-                out = Item(count=out_count, nbytes=out_bytes)
-                yield Put(out_q, out)
-                stats.on_produce(out.count, out.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def batch_worker(
-    node: BatchNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Grouping: converts counts into minibatch units (count / B)."""
-    batch = node.batch_size
-    try:
-        while True:
-            item = yield Get(in_q)
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            # Overhead is paid per *output* element (one Next per batch).
-            out_count = item.count / batch
-            req = _overhead(ctx, stats, out_count)
-            if req is not None:
-                yield req
-            if node.cpu_seconds_per_example > 0:
-                svc = ctx.cpu_cost(node.cpu_seconds_per_example * item.count)
-                yield Compute(svc)
-                stats.on_cpu(svc * ctx.penalty)
-            out = Item(count=out_count, nbytes=item.nbytes)
-            yield Put(out_q, out)
-            stats.on_produce(out.count, out.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def shuffle_worker(
-    node: ShuffleNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Buffered shuffle: throughput-wise a sequential pass-through with a
-    per-element CPU cost (order is irrelevant to the simulation)."""
-    try:
-        while True:
-            item = yield Get(in_q)
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            req = _overhead(ctx, stats, item.count)
-            if req is not None:
-                yield req
-            if node.cpu_seconds_per_element > 0:
-                svc = ctx.cpu_cost(node.cpu_seconds_per_element * item.count)
-                yield Compute(svc)
-                stats.on_cpu(svc * ctx.penalty)
-            yield Put(out_q, item)
-            stats.on_produce(item.count, item.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def passthrough_worker(
-    node: DatasetNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Repeat / prefetch: forwards chunks, paying only overhead."""
-    try:
-        while True:
-            item = yield Get(in_q)
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            req = _overhead(ctx, stats, item.count)
-            if req is not None:
-                yield req
-            yield Put(out_q, item)
-            stats.on_produce(item.count, item.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def take_worker(
-    node: TakeNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Forward until ``count`` elements have been emitted, then end the
-    stream early (splitting the final chunk if needed)."""
-    remaining = float(node.count)
-    try:
-        while remaining > 0:
-            item = yield Get(in_q)
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            emit = min(item.count, remaining)
-            remaining -= emit
-            req = _overhead(ctx, stats, emit)
-            if req is not None:
-                yield req
-            frac = emit / item.count if item.count > 0 else 0.0
-            out = Item(count=emit, nbytes=item.nbytes * frac)
-            yield Put(out_q, out)
-            stats.on_produce(out.count, out.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def cache_worker(
-    node: CacheNode,
-    in_q: SimQueue,
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-    serve_epochs: float,
-) -> Generator:
-    """Materialize the first pass, then serve ``serve_epochs`` more passes
-    from memory (``inf`` under an unbounded repeat).
-
-    Raises :class:`SimulationError` if materialization exceeds the host
-    memory limit — the failure Plumber's planner exists to avoid.
-    """
-    stored: List[Item] = []
-    stored_bytes = 0.0
-    try:
-        # Populate pass: forward while recording.
-        while True:
-            item = yield Get(in_q)
-            if item is EOS:
-                break
-            stats.on_consume(item.count)
-            stored.append(item)
-            stored_bytes += item.nbytes
-            ctx.cache_bytes[node.name] = stored_bytes
-            if stored_bytes > ctx.memory_limit_bytes:
-                raise SimulationError(
-                    f"cache {node.name!r} exceeded memory limit: "
-                    f"{stored_bytes / 1e9:.1f} GB > "
-                    f"{ctx.memory_limit_bytes / 1e9:.1f} GB"
-                )
-            req = _overhead(ctx, stats, item.count)
-            if req is not None:
-                yield req
-            yield Put(out_q, item)
-            stats.on_produce(item.count, item.nbytes, ctx.sim.now)
-        # Serve passes: replay from memory at memory-copy cost.
-        epoch = 0.0
-        while epoch < serve_epochs and stored:
-            epoch += 1.0
-            for item in stored:
-                req = _overhead(ctx, stats, item.count)
-                if req is not None:
-                    yield req
-                if node.read_cpu_seconds_per_element > 0:
-                    svc = ctx.cpu_cost(
-                        node.read_cpu_seconds_per_element * item.count
-                    )
-                    yield Compute(svc)
-                    stats.on_cpu(svc * ctx.penalty)
-                yield Put(out_q, item)
-                stats.on_produce(item.count, item.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def zip_worker(
-    node: ZipNode,
-    in_qs: List[SimQueue],
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Lockstep merge: buffer each input, emit min-across-branches.
-
-    Chunks from different branches rarely align, so per-input carry
-    buffers track leftover counts/bytes; each emitted chunk pairs
-    ``emit`` elements from *every* branch (output bytes = sum of the
-    branches' proportional shares). The stream ends the moment any
-    input is exhausted — leftover elements on longer branches are
-    dropped, exactly tf.data's zip truncation.
-    """
-    k = len(in_qs)
-    buf_count = [0.0] * k
-    buf_bytes = [0.0] * k
-    try:
-        while True:
-            # Refill every drained branch; first EOS ends the stream.
-            for i in range(k):
-                while buf_count[i] <= 0:
-                    item = yield Get(in_qs[i])
-                    if item is EOS:
-                        return
-                    stats.on_consume(item.count)
-                    buf_count[i] += item.count
-                    buf_bytes[i] += item.nbytes
-            emit = min(buf_count)
-            out_bytes = 0.0
-            for i in range(k):
-                share = emit / buf_count[i]
-                out_bytes += buf_bytes[i] * share
-                buf_bytes[i] -= buf_bytes[i] * share
-                buf_count[i] -= emit
-            req = _overhead(ctx, stats, emit)
-            if req is not None:
-                yield req
-            if node.cpu_seconds_per_element > 0:
-                svc = ctx.cpu_cost(node.cpu_seconds_per_element * emit)
-                yield Compute(svc)
-                stats.on_cpu(svc * ctx.penalty)
-            out = Item(count=emit, nbytes=out_bytes)
-            yield Put(out_q, out)
-            stats.on_produce(out.count, out.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def interleave_worker(
-    node: InterleaveDatasetsNode,
-    in_qs: List[SimQueue],
-    out_q: SimQueue,
-    state: StageState,
-    ctx: ExecContext,
-    stats: NodeStats,
-) -> Generator:
-    """Weighted round-robin mix: forward whole chunks, branch picked by
-    smooth weighted scheduling (least served-per-weight first), so the
-    emitted mix tracks the declared weights at chunk granularity. The
-    stream ends when the first branch is exhausted, keeping the mix
-    exact for the whole run."""
-    k = len(in_qs)
-    served = [0.0] * k
-    try:
-        while True:
-            best = min(range(k), key=lambda i: served[i] / node.weights[i])
-            item = yield Get(in_qs[best])
-            if item is EOS:
-                return
-            stats.on_consume(item.count)
-            served[best] += item.count
-            req = _overhead(ctx, stats, item.count)
-            if req is not None:
-                yield req
-            if node.cpu_seconds_per_element > 0:
-                svc = ctx.cpu_cost(node.cpu_seconds_per_element * item.count)
-                yield Compute(svc)
-                stats.on_cpu(svc * ctx.penalty)
-            yield Put(out_q, item)
-            stats.on_produce(item.count, item.nbytes, ctx.sim.now)
-    finally:
-        state.worker_done()
-
-
-def build_stage(
-    node: DatasetNode,
-    in_qs: Optional[List[SimQueue]],
-    out_q: SimQueue,
-    ctx: ExecContext,
-    stats: NodeStats,
-    *,
-    cursor: Optional[FileCursor] = None,
-    granularity: int = 1,
-    serve_epochs: float = 0.0,
-) -> List[Generator]:
-    """Instantiate the worker generators for ``node``.
-
-    ``in_qs`` carries one input queue per graph edge, in ``node.inputs``
-    order (``None`` for sources); single-input workers read from
-    ``in_qs[0]``.
-    """
-    if isinstance(node, InterleaveSourceNode):
-        workers = node.effective_parallelism
-        state = StageState(out_q, workers)
-        assert cursor is not None
-        return [
-            source_worker(node, cursor, out_q, state, ctx, stats, granularity)
-            for _ in range(workers)
-        ]
-    assert in_qs is not None
-    if isinstance(node, ZipNode):
-        state = StageState(out_q, 1)
-        return [zip_worker(node, list(in_qs), out_q, state, ctx, stats)]
-    if isinstance(node, InterleaveDatasetsNode):
-        state = StageState(out_q, 1)
-        return [interleave_worker(node, list(in_qs), out_q, state, ctx, stats)]
-    in_q = in_qs[0]
-    if isinstance(node, MapNode):
-        workers = node.effective_parallelism
-        state = StageState(out_q, workers)
-        return [
-            map_worker(node, in_q, out_q, state, ctx, stats)
-            for _ in range(workers)
-        ]
-    if isinstance(node, BatchNode):
-        workers = node.effective_parallelism
-        state = StageState(out_q, workers)
-        return [
-            batch_worker(node, in_q, out_q, state, ctx, stats)
-            for _ in range(workers)
-        ]
-    if isinstance(node, FilterNode):
-        state = StageState(out_q, 1)
-        return [filter_worker(node, in_q, out_q, state, ctx, stats)]
-    if isinstance(node, ShuffleNode):  # includes ShuffleAndRepeatNode
-        state = StageState(out_q, 1)
-        return [shuffle_worker(node, in_q, out_q, state, ctx, stats)]
-    if isinstance(node, TakeNode):
-        state = StageState(out_q, 1)
-        return [take_worker(node, in_q, out_q, state, ctx, stats)]
-    if isinstance(node, CacheNode):
-        state = StageState(out_q, 1)
-        return [
-            cache_worker(node, in_q, out_q, state, ctx, stats, serve_epochs)
-        ]
-    if isinstance(node, (RepeatNode, PrefetchNode)):
-        state = StageState(out_q, 1)
-        return [passthrough_worker(node, in_q, out_q, state, ctx, stats)]
-    raise TypeError(f"no runtime implementation for node kind {node.kind!r}")
 
 
 def expected_elements_per_chunk(pipeline, node_name: str, granularity: int) -> float:

@@ -1,58 +1,34 @@
-"""The vectorized simulation engine (``RunConfig.engine="vectorized"``).
+"""The pipeline workers: one compiled state machine per dataset operator.
 
-The reference engine (:mod:`repro.runtime.engine` +
-:mod:`repro.runtime.iterators`) drives Python *generators* that yield
-frozen request objects (``Timeout``/``Compute``/``Read``/``Put``/``Get``)
-through a dispatch layer. Profiling a cache-heavy trace shows ~80% of
-wallclock goes to that machinery — ``gen.send`` frame switches, one
-frozen-dataclass allocation per request, ``_dispatch`` lookups, and the
-``schedule()`` indirection on every zero-delay wake — not to the event
-loop or the resource models themselves.
+Every worker follows the same shape per chunk:
 
-This module removes all of it while leaving the *simulated universe*
-bit-for-bit unchanged:
+1. get from the input queue (blocked time = upstream starvation),
+2. pay framework overhead (a timer — occupies the worker thread but no
+   core, and is invisible to CPU-time tracing; see Fig. 9 / §C.3),
+3. pay CPU cost (a core-scheduler request — visible to tracing),
+4. put downstream (blocked time = downstream backpressure).
 
-* **Compiled workers** — every generator in
-  :mod:`repro.runtime.iterators` is transcribed into a state-machine
-  object whose continuations are bound once at construction. Each
-  continuation performs the *same float operations in the same order*
-  and makes the *same* queue/core/disk/clock calls as its generator
-  counterpart, so the event sequence — and therefore every counter,
-  timestamp, and emitted trace byte — is identical by construction. No
-  request objects and no generator frames are allocated, ever; items
-  travel as plain ``(count, nbytes)`` tuples instead of frozen
-  dataclasses, and the per-node counter updates are the
-  :class:`~repro.runtime.stats.NodeStats` method bodies inlined
-  verbatim.
-* **Direct ready-deque wakes** — :class:`TurboQueue` and
-  :class:`TurboCores` append ``(resume, value)`` entries straight onto
-  the engine's same-timestamp FIFO instead of going through
-  ``schedule(0.0, ...)``. ``schedule(0.0, cb, v)`` *is*
-  ``ready.append((cb, v))``, so ordering is untouched. Adjacent wake
-  pairs that the protocol always emits back-to-back (a queue handoff
-  waking both the getter and the putter) are *fused* into one
-  four-field entry, halving deque traffic for handoffs. Timed waits
-  push onto the heap with the exact expression ``schedule`` uses,
-  minus the call.
-* **Cohort draining** — :class:`VectorSimulation.run` drains an entire
-  same-timestamp resume cohort in one inner loop with *no per-event
-  heap probe*: every timed push site proves its entry lands strictly
-  in the future (raising :class:`EngineFallback` otherwise), so
-  nothing on the heap can become due mid-cohort and the due-check is
-  needed only once per cohort, not once per event.
-* **Closed-form serve-phase deltas** — a steady-state cache replays an
-  identical chunk pattern, so :class:`_CacheTask` computes each serve
-  chunk's overhead/service/CPU-counter deltas once per run of
-  equal-sized chunks and replays them from cached floats; products of
-  identical floats are identical, so fast-forwarding through the
-  pattern is exact.
+A worker is an object whose continuations (``k_*`` slots) are bound once
+at construction; each step calls the next resource with the continuation
+to wake, so no generator frame or request object is allocated per
+event. Items travel as plain ``(count, nbytes)`` tuples, and the
+per-node counter updates are the :class:`~repro.runtime.stats.NodeStats`
+method bodies inlined. Timers are pushed inline with the expression
+:meth:`Simulation.schedule <repro.runtime.engine.Simulation.schedule>`
+uses; a push whose delay collapses onto the current instant goes to the
+engine's cold path (:meth:`~repro.runtime.engine.Simulation._collapsed`).
 
-The equivalence contract is enforced, not assumed: the golden-trace
-corpus (``tests/golden/`` + ``tests/test_engine_golden.py``) and the
-hypothesis property suite assert the two engines serialize
-byte-identical :class:`~repro.core.trace.PipelineTrace` artifacts on
-every run. Engine-internal telemetry (``events_processed``,
-``peak_ready_depth``) is explicitly *not* part of the contract.
+A steady-state cache replays an identical chunk pattern, so
+:class:`_CacheTask` computes each serve chunk's overhead/service/CPU
+deltas once per run of equal-sized chunks and replays them from cached
+floats; products of identical floats are identical, so fast-forwarding
+through the pattern is exact.
+
+The workers' float operations and resource calls are in the order of
+the generator workers of the test oracle (``tests/reference_engine.py``),
+so the event stream — and every counter, timestamp, and trace byte — is
+identical to the oracle's; the golden corpus and the hypothesis
+properties check it.
 """
 
 from __future__ import annotations
@@ -74,7 +50,7 @@ from repro.graph.datasets import (
     TakeNode,
     ZipNode,
 )
-from repro.runtime.engine import (
+from repro.runtime.engine import (  # noqa: F401 - the executor's runtime
     EOS,
     CoreScheduler,
     SimQueue,
@@ -92,330 +68,22 @@ from repro.runtime.stats import NodeStats
 _push = heapq.heappush
 
 
-class EngineFallback(Exception):
-    """Raised when the vectorized engine detects a degenerate float regime.
-
-    Every timed delay in the engine is strictly positive, so ``now +
-    delay > now`` — unless the delay is smaller than one ulp of the
-    clock (e.g. a ``1e-18`` second timer at ``t=100``). The reference
-    engine would run such an entry *mid-cohort* (it lands due at the
-    current instant), which is the one interleaving the vectorized
-    cohort drain does not reproduce. Rather than pay a per-event heap
-    probe to cover a case that cannot occur for any physical workload,
-    the push sites detect it and raise; :func:`~repro.runtime.executor.
-    run_pipeline` catches the exception, discards the partial run, and
-    reruns the pipeline on the reference engine — so emitted traces are
-    byte-identical to the reference engine in *every* regime.
-    """
-
-
-class _MultiArg:
-    """Cold-path adapter: a zero-delay callback with >1 scheduled args.
-
-    Vectorized ready entries are ``(callback, value)`` pairs (every wake
-    in the engine protocol carries at most one value), so the rare
-    multi-arg ``schedule(0.0, cb, a, b)`` call is wrapped to fit.
-    """
-
-    __slots__ = ("cb", "args")
-
-    def __init__(self, cb, args):
-        self.cb = cb
-        self.args = args
-
-    def __call__(self, value=None):
-        self.cb(*self.args)
-
-
-class VectorSimulation(Simulation):
-    """Event loop with batched same-timestamp cohort draining.
-
-    Event *ordering* is identical to :meth:`Simulation.run`: timed
-    entries due at the current instant run before ready entries (they
-    were necessarily scheduled earlier), and the ready FIFO preserves
-    insertion order. The inner drain runs a whole same-timestamp
-    cohort *without* probing the heap between callbacks. That is exact
-    because a heap entry can only become due mid-cohort if a push
-    collapsed onto the current instant (``now + delay == now`` with
-    ``delay > 0``) — the due-drain runs before each cohort, and every
-    other push is strictly future. All timed push sites guard against
-    exactly that collapse and raise :class:`EngineFallback`, which
-    :func:`~repro.runtime.executor.run_pipeline` converts into a clean
-    rerun on the reference engine. Ready depth is sampled once per
-    cohort (telemetry only; the golden harness excludes
-    engine-internal telemetry from equivalence, and
-    ``events_processed`` is likewise a cohort-sampled approximation).
-
-    The clock is mirrored into a local: callbacks cannot move ``now``
-    (only the loop's own timed-entry pop does), so ``self.now`` is
-    written exactly when the clock advances and read never.
-
-    Ready entries are ``(callback, value)`` pairs — one positional
-    value per wake, matching the resume protocol — so dispatch is a
-    plain call instead of an argument-tuple unpack. Fused adjacent
-    wake pairs travel as ``(cb1, v1, cb2, v2)`` and are discriminated
-    by length; running both halves consecutively matches reference
-    FIFO order because the pair was appended with nothing between its
-    halves, and anything the first callback appends lands *after* the
-    pair. ``schedule`` is overridden to normalize zero-delay entries
-    into the pair shape.
-    """
-
-    def schedule(self, delay: float, callback, *args) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if delay == 0.0:
-            n = len(args)
-            if n == 1:
-                self._ready.append((callback, args[0]))
-            elif n == 0:
-                self._ready.append((callback, None))
-            else:
-                self._ready.append((_MultiArg(callback, args), None))
-            return
-        t = self.now + delay
-        if t <= self.now:
-            raise EngineFallback
-        self._seq += 1
-        _push(self._heap, (t, self._seq, callback, args))
-
-    def run(self, until: float) -> float:
-        heap = self._heap
-        ready = self._ready
-        pop = heapq.heappop
-        popleft = ready.popleft
-        events = 0
-        peak_ready = self.peak_ready_depth
-        now = self.now
-        try:
-            while True:
-                if ready:
-                    depth = len(ready)
-                    if depth > peak_ready:
-                        peak_ready = depth
-                    # Telemetry only: cohorts are counted by their depth
-                    # at entry (a lower-bound sample — same-instant
-                    # chains appended mid-drain are not re-counted).
-                    events += depth
-                    # The drain is unconditional: no timed entry can
-                    # become due while the clock is parked (every push
-                    # site raises EngineFallback if its strictly
-                    # positive delay would vanish into the current
-                    # instant), so the reference engine's after-each-
-                    # callback heap probe is provably a no-op here —
-                    # the heap is consulted only once per clock
-                    # advance, not once per event.
-                    # Entries are (cb, value) wakes or (cb1, v1, cb2,
-                    # v2) fused pairs — two wakes appended back-to-back
-                    # with nothing between them, dispatched in order.
-                    while ready:
-                        e = popleft()
-                        if len(e) == 2:
-                            e[0](e[1])
-                        else:
-                            e[0](e[1])
-                            e[2](e[3])
-                if not heap:
-                    break
-                time = heap[0][0]
-                if time > until:
-                    self.now = until
-                    return until
-                now = time
-                self.now = time
-                # Run every timed entry due at the new instant before
-                # the ready cohort they wake — the reference ordering.
-                # Later heap entries can share this timestamp (pushed
-                # from earlier instants), so this is a loop.
-                while heap and heap[0][0] <= now:
-                    _t, _s, cb, args = pop(heap)
-                    events += 1
-                    cb(*args)
-            return now
-        finally:
-            self.events_processed += events
-            self.peak_ready_depth = peak_ready
-
-
-class TurboQueue(SimQueue):
-    """A :class:`SimQueue` whose zero-delay wakes skip ``schedule()``.
-
-    ``_put``/``_get`` are verbatim transcriptions of the parent methods
-    with ``sim.schedule(0.0, cb, *args)`` replaced by the equivalent
-    ``sim._ready.append((cb, value))`` — the exact rewrite ``schedule``
-    itself performs for zero delays — and the ``_track`` occupancy
-    update inlined. Callers pass the continuation callable to wake
-    (rather than a process whose ``.resume`` is read per wake), and
-    handoff wake pairs are appended fused. Counters, occupancy
-    tracking, and blocking semantics stay float-op-for-float-op
-    identical.
-    """
-
-    #: ``_n`` mirrors ``len(self.items)`` (only ``_put``/``_get`` mutate
-    #: the deque) so the hot paths read one slot instead of calling len.
-    __slots__ = ("_n",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._n = 0
-
-    def _put(self, resume, item) -> None:
-        if self.closed:
-            raise SimulationError(f"put on closed queue {self.name!r}")
-        sim = self.sim
-        now = sim.now
-        n = self._n
-        last = self._occ_last_t
-        if now != last:
-            self._occ_integral += n * (now - last)
-            self._occ_last_t = now
-        self.total_puts += 1
-        getters = self._getters
-        if getters:
-            sim._ready.append((getters.popleft(), item, resume, None))
-        else:
-            if n < self.capacity:
-                self.items.append(item)
-                n += 1
-                self._n = n
-                if n > self.peak_occupancy:
-                    self.peak_occupancy = n
-                sim._ready.append((resume, None))
-            else:
-                self._putters.append((resume, item))
-
-    def _get(self, resume) -> None:
-        sim = self.sim
-        now = sim.now
-        items = self.items
-        last = self._occ_last_t
-        if now != last:
-            self._occ_integral += self._n * (now - last)
-            self._occ_last_t = now
-        self.total_gets += 1
-        if items:
-            item = items.popleft()
-            putters = self._putters
-            if putters:
-                putter, pending = putters.popleft()
-                items.append(pending)
-                sim._ready.append((putter, None, resume, item))
-            else:
-                self._n -= 1
-                sim._ready.append((resume, item))
-        elif self._putters:
-            # capacity reached with direct handoff pending
-            putter, pending = self._putters.popleft()
-            sim._ready.append((putter, None, resume, pending))
-        elif self.closed:
-            sim._ready.append((resume, EOS))
-        else:
-            self._getters.append(resume)
-
-    def close(self) -> None:
-        # Parent close() expects parked *processes* (it reads
-        # ``.resume`` at wake time); this queue parks the continuation
-        # callables themselves, so the wakes are re-issued in the same
-        # order with the parked callable directly. schedule(0.0, ...)
-        # is a ready append, so ordering matches the parent verbatim.
-        if self.closed:
-            return
-        self.closed = True
-        ready = self.sim._ready
-        getters = self._getters
-        while getters:
-            ready.append((getters.popleft(), EOS))
-        putters = self._putters
-        while putters:
-            putter, _pending = putters.popleft()
-            ready.append((putter, EOS))
-
-
-class TurboCores(CoreScheduler):
-    """A :class:`CoreScheduler` whose completion wakes skip ``schedule()``.
-
-    Timed service completions still go through the heap (they must) via
-    the inlined push ``schedule`` would perform; only the zero-delay
-    grant/finish resumes take the direct append. The busy-integral
-    update is the parent ``_track`` body inlined.
-    """
-
-    __slots__ = ("_k_finish",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._k_finish = self._finish
-
-    def submit(self, resume, seconds: float, width: float) -> None:
-        if width > self.capacity:
-            width = self.capacity
-        if seconds < 0:
-            raise SimulationError(f"negative compute time {seconds}")
-        if seconds == 0:
-            self.sim._ready.append((resume, None))
-            return
-        if self.free >= width and not self._waiting:
-            # _start inlined (the no-contention fast path)
-            sim = self.sim
-            now = sim.now
-            last = self._busy_last_t
-            if now != last:
-                self._busy_integral += (self.capacity - self.free) * (now - last)
-                self._busy_last_t = now
-            self.free -= width
-            t = now + seconds * self.penalty
-            if t <= now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self._k_finish, (resume, width)))
-        else:
-            self._waiting.append((resume, seconds, width))
-
-    def _start(self, resume, seconds: float, width: float) -> None:
-        sim = self.sim
-        now = sim.now
-        last = self._busy_last_t
-        if now != last:
-            self._busy_integral += (self.capacity - self.free) * (now - last)
-            self._busy_last_t = now
-        self.free -= width
-        t = now + seconds * self.penalty
-        if t <= now:
-            raise EngineFallback
-        sim._seq += 1
-        _push(sim._heap, (t, sim._seq, self._k_finish, (resume, width)))
-
-    def _finish(self, resume, width: float) -> None:
-        sim = self.sim
-        now = sim.now
-        last = self._busy_last_t
-        if now != last:
-            self._busy_integral += (self.capacity - self.free) * (now - last)
-            self._busy_last_t = now
-        self.free += width
-        sim._ready.append((resume, None))
-        waiting = self._waiting
-        while waiting and self.free >= waiting[0][2]:
-            waiting_resume, seconds, w = waiting.popleft()
-            self._start(waiting_resume, seconds, w)
-
-
 # ----------------------------------------------------------------------
-# Compiled worker tasks. Each class transcribes one generator from
-# repro.runtime.iterators; the float operations and resource calls are
-# kept in the generator's exact order so the event stream is identical.
-# Queues and cores receive the continuation *callable* to wake —
-# ``q._put(self.k_after_put, item)`` — so no ``.resume`` attribute is
-# read per wake. Only the disk (shared with the reference engine) still
-# wakes through ``task.resume``, so the ``resume`` slot is kept and set
-# before every disk call.
-# Continuations are bound once in __init__ (``k_*`` slots) so parking a
-# task is an attribute copy, not a bound-method allocation; items are
-# ``(count, nbytes)`` tuples; NodeStats updates are the method bodies
-# from repro.runtime.stats inlined unchanged.
+# Worker tasks. Queues and cores receive the continuation *callable* to
+# wake — ``q._put(self.k_after_put, item)`` — so no ``.resume``
+# attribute is read per wake. Only the disk still wakes through
+# ``task.resume``, so the ``resume`` slot is kept and set before every
+# disk call. Continuations are bound once in __init__ (``k_*`` slots) so
+# parking a task is an attribute copy, not a bound-method allocation;
+# items are ``(count, nbytes)`` tuples; NodeStats updates are the method
+# bodies from repro.runtime.stats inlined unchanged.
 # ----------------------------------------------------------------------
 class _SourceTask:
-    """Compiled :func:`~repro.runtime.iterators.source_worker`."""
+    """One interleave stream: block-buffered reads, chunked record emit.
+
+    File size is known at open (a filesystem stat), which is how
+    Plumber's tracer sees "bytes read until end of file".
+    """
 
     __slots__ = (
         "resume", "sim", "stats", "state", "cursor", "granularity",
@@ -497,9 +165,10 @@ class _SourceTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -536,7 +205,7 @@ class _SourceTask:
 
 
 class _MapTask:
-    """Compiled :func:`~repro.runtime.iterators.map_worker`."""
+    """Apply a UDF chunk-wise: cost, size, and count transforms."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put",
@@ -586,9 +255,10 @@ class _MapTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -633,7 +303,7 @@ class _MapTask:
 
 
 class _FilterTask:
-    """Compiled :func:`~repro.runtime.iterators.filter_worker`."""
+    """Sequential predicate: pays CPU on every input, keeps a fraction."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put",
@@ -677,9 +347,10 @@ class _FilterTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -720,7 +391,7 @@ class _FilterTask:
 
 
 class _BatchTask:
-    """Compiled :func:`~repro.runtime.iterators.batch_worker`."""
+    """Grouping: converts counts into minibatch units (count / B)."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put",
@@ -767,9 +438,10 @@ class _BatchTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -803,7 +475,8 @@ class _BatchTask:
 
 
 class _ShuffleTask:
-    """Compiled :func:`~repro.runtime.iterators.shuffle_worker`."""
+    """Buffered shuffle: throughput-wise a sequential pass-through with a
+    per-element CPU cost (order is irrelevant to the simulation)."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put",
@@ -846,9 +519,10 @@ class _ShuffleTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -877,7 +551,7 @@ class _ShuffleTask:
 
 
 class _PassthroughTask:
-    """Compiled :func:`~repro.runtime.iterators.passthrough_worker`."""
+    """Repeat / prefetch: forwards chunks, paying only overhead."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put", "ov",
@@ -912,9 +586,10 @@ class _PassthroughTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_forward, ()))
+                sim._collapsed(self.k_forward, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_forward, ()))
             return
         self._forward()
 
@@ -934,7 +609,8 @@ class _PassthroughTask:
 
 
 class _TakeTask:
-    """Compiled :func:`~repro.runtime.iterators.take_worker`."""
+    """Forward until ``count`` elements have been emitted, then end the
+    stream early (splitting the final chunk if needed)."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put",
@@ -980,9 +656,10 @@ class _TakeTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -1007,7 +684,11 @@ class _TakeTask:
 
 
 class _CacheTask:
-    """Compiled :func:`~repro.runtime.iterators.cache_worker`.
+    """Materialize the first pass, then serve ``serve_epochs`` more
+    passes from memory (``inf`` under an unbounded repeat).
+
+    Raises :class:`SimulationError` if materialization exceeds the host
+    memory limit — the failure Plumber's planner exists to avoid.
 
     The serve phase is where the chunk-replay optimization lives: at
     steady state every pass replays the same chunk pattern, so the
@@ -1073,8 +754,8 @@ class _CacheTask:
         self.stored_bytes += item[1]
         self.cache_bytes_map[self.name] = self.stored_bytes
         if self.stored_bytes > self.memory_limit:
-            # The generator's ``finally`` runs worker_done before the
-            # error propagates; mirror that side effect.
+            # The stage still closes its output before the error
+            # propagates.
             self.state.worker_done()
             raise SimulationError(
                 f"cache {self.name!r} exceeded memory limit: "
@@ -1088,9 +769,10 @@ class _CacheTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_populate_forward, ()))
+                sim._collapsed(self.k_populate_forward, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_populate_forward, ()))
             return
         self._populate_forward()
 
@@ -1139,9 +821,10 @@ class _CacheTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_serve_after_overhead, ()))
+                sim._collapsed(self.k_serve_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_serve_after_overhead, ()))
             return
         self._serve_after_overhead()
 
@@ -1173,7 +856,15 @@ class _CacheTask:
 
 
 class _ZipTask:
-    """Compiled :func:`~repro.runtime.iterators.zip_worker`."""
+    """Lockstep merge: buffer each input, emit min-across-branches.
+
+    Chunks from different branches rarely align, so per-input carry
+    buffers track leftover counts/bytes; each emitted chunk pairs
+    ``emit`` elements from *every* branch (output bytes = sum of the
+    branches' proportional shares). The stream ends the moment any
+    input is exhausted — leftover elements on longer branches are
+    dropped, exactly tf.data's zip truncation.
+    """
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_gets", "out_put",
@@ -1250,9 +941,10 @@ class _ZipTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -1287,7 +979,11 @@ class _ZipTask:
 
 
 class _InterleaveTask:
-    """Compiled :func:`~repro.runtime.iterators.interleave_worker`."""
+    """Weighted round-robin mix: forward whole chunks, branch picked by
+    smooth weighted scheduling (least served-per-weight first), so the
+    emitted mix tracks the declared weights at chunk granularity. The
+    stream ends when the first branch is exhausted, keeping the mix
+    exact for the whole run."""
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_gets", "out_put",
@@ -1342,9 +1038,10 @@ class _InterleaveTask:
             sim = self.sim
             t = sim.now + o
             if t <= sim.now:
-                raise EngineFallback
-            sim._seq += 1
-            _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
         self._after_overhead()
 
@@ -1372,12 +1069,13 @@ class _InterleaveTask:
         self._pick()
 
 
-class VectorConsumer:
-    """Compiled :class:`repro.runtime.executor._Consumer`."""
+class Consumer:
+    """Root-queue puller that records minibatch counts, Next latency,
+    and the instant the stream drained (``drained_at``)."""
 
     __slots__ = (
         "resume", "sim", "root_get", "step_per_element", "elements",
-        "wait_seconds", "done", "t0", "k_on_item", "k_next",
+        "wait_seconds", "drained_at", "t0", "k_on_item", "k_next",
     )
 
     def __init__(self, sim, root_q, step_per_element: float):
@@ -1386,7 +1084,7 @@ class VectorConsumer:
         self.step_per_element = step_per_element
         self.elements = 0.0
         self.wait_seconds = 0.0
-        self.done = False
+        self.drained_at = None
         self.k_on_item = self._on_item
         self.k_next = self._next
         self.resume = self.start
@@ -1400,7 +1098,7 @@ class VectorConsumer:
 
     def _on_item(self, item):
         if item is EOS:
-            self.done = True
+            self.drained_at = self.sim.now
             return
         sim = self.sim
         now = sim.now
@@ -1416,9 +1114,10 @@ class VectorConsumer:
             else:
                 t = now + d
                 if t <= now:
-                    raise EngineFallback
-                sim._seq += 1
-                _push(sim._heap, (t, sim._seq, self.k_next, ()))
+                    sim._collapsed(self.k_next, ())
+                else:
+                    sim._seq += 1
+                    _push(sim._heap, (t, sim._seq, self.k_next, ()))
             return
         self.t0 = now
         self.root_get(self.k_on_item)
@@ -1427,7 +1126,7 @@ class VectorConsumer:
         return (self.elements, self.wait_seconds)
 
 
-def build_vector_stage(
+def build_stage(
     node: DatasetNode,
     in_qs: Optional[List[SimQueue]],
     out_q: SimQueue,
@@ -1438,12 +1137,12 @@ def build_vector_stage(
     granularity: int = 1,
     serve_epochs: float = 0.0,
 ) -> list:
-    """Instantiate the compiled tasks for ``node``.
+    """Instantiate the worker tasks for ``node``; the executor schedules
+    each task's ``start``.
 
-    Mirrors :func:`repro.runtime.iterators.build_stage` exactly — same
-    worker counts, same shared :class:`StageState`, same queue fan-in —
-    but returns task objects whose ``start`` methods are scheduled
-    instead of generators to spawn.
+    ``in_qs`` carries one input queue per graph edge, in ``node.inputs``
+    order (``None`` for sources); single-input workers read from
+    ``in_qs[0]``.
     """
     if isinstance(node, InterleaveSourceNode):
         workers = node.effective_parallelism
@@ -1492,4 +1191,4 @@ def build_vector_stage(
     if isinstance(node, (RepeatNode, PrefetchNode)):
         state = StageState(out_q, 1)
         return [_PassthroughTask(node, in_q, out_q, state, ctx, stats)]
-    raise TypeError(f"no vectorized implementation for node kind {node.kind!r}")
+    raise TypeError(f"no runtime implementation for node kind {node.kind!r}")

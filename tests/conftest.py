@@ -11,9 +11,10 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help=(
-            "Recapture tests/golden/ from the reference engine instead "
-            "of comparing against it. The regeneration run still "
-            "asserts the vectorized engine matches the fresh capture."
+            "Recapture tests/golden/ from the reference oracle "
+            "(tests/reference_engine.py) instead of comparing against "
+            "it. The regeneration run still asserts the shipped engine "
+            "matches the fresh capture."
         ),
     )
 

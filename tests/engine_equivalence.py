@@ -1,20 +1,19 @@
 """Shared harness for the engine-equivalence suites.
 
-The vectorized engine's contract is *byte identity*: for any pipeline
-and any :class:`~repro.runtime.executor.RunConfig`, the trace it emits
-must serialize to exactly the same JSON string as the reference
-(scalar generator) engine's, and every observable counter — queue
-telemetry, consumer results, cache/disk byte totals — must be equal,
-not approximately equal. This module holds the pieces both suites
-share:
+The simulator's contract is *byte identity* with the reference
+generator engine (the oracle in :mod:`tests.reference_engine`): for any
+pipeline and any :class:`~repro.runtime.executor.RunConfig`, the trace
+it emits must serialize to exactly the same JSON string as the
+oracle's, and every observable counter — queue telemetry, consumer
+results, cache/disk byte totals — must be equal, not approximately
+equal. This module holds the pieces both suites share:
 
 * :func:`fingerprint` — every observable of one run, as a
   JSON-compatible dict (engine-internal telemetry such as
   ``events_processed`` is deliberately excluded; it is sampled, not
-  exact, on the vectorized engine).
+  exact, on the shipped engine).
 * :data:`GOLDEN_CASES` — the seeded corpus of single- and multi-source
-  graphs whose reference fingerprints are checked into
-  ``tests/golden/``.
+  graphs whose oracle fingerprints are checked into ``tests/golden/``.
 * :func:`dump_mismatch` — persist both fingerprints under
   ``$REPRO_DIFF_DUMP_DIR`` when a comparison fails, so a red CI run
   leaves artifacts to diff instead of a truncated assertion message.
@@ -22,6 +21,7 @@ share:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -36,6 +36,7 @@ from repro.graph.udf import CostModel, UserFunction
 from repro.host.machine import setup_a
 from repro.io.filesystem import FileCatalog
 from repro.runtime.executor import ModelConsumer, RunConfig, run_pipeline
+from tests import reference_engine
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -45,14 +46,18 @@ DUMP_DIR = os.environ.get("REPRO_DIFF_DUMP_DIR", "diff_failures")
 # ----------------------------------------------------------------------
 # Fingerprinting
 # ----------------------------------------------------------------------
-def fingerprint(pipeline, config: RunConfig) -> dict:
+def fingerprint(pipeline, config: RunConfig, machine=None,
+                run=run_pipeline) -> dict:
     """Every observable of one simulated run, JSON-compatible.
 
-    The trace is kept as its serialized *string* so equality means
-    byte-for-byte identity of the artifact downstream consumers read,
-    not merely numeric closeness after a parse.
+    ``run`` is :func:`run_pipeline` (the shipped engine) or
+    :func:`tests.reference_engine.run_pipeline` (the oracle); the
+    machine defaults to ``setup_a``. The trace is kept as its
+    serialized *string* so equality means byte-for-byte identity of the
+    artifact downstream consumers read, not merely numeric closeness
+    after a parse.
     """
-    res = run_pipeline(pipeline, setup_a(), config)
+    res = run(pipeline, machine or setup_a(), config)
     return {
         "trace": PipelineTrace.from_run(res).to_json(),
         "cumulative_stats": {
@@ -70,11 +75,13 @@ def fingerprint(pipeline, config: RunConfig) -> dict:
     }
 
 
-def run_fingerprint(case, engine: str) -> dict:
-    """Build the case's pipeline fresh and fingerprint one run."""
-    _name, build, cfg_kwargs = case
-    config = RunConfig(engine=engine, **cfg_kwargs)
-    return fingerprint(build(), config)
+def run_fingerprint(case, oracle: bool = False) -> dict:
+    """Build the case's pipeline (and machine, if it names one) fresh
+    and fingerprint one run on the shipped engine or the oracle."""
+    _name, build, cfg_kwargs, *machine = case
+    run = reference_engine.run_pipeline if oracle else run_pipeline
+    return fingerprint(build(), RunConfig(**cfg_kwargs),
+                       machine[0]() if machine else None, run)
 
 
 def dump_mismatch(name: str, reference: dict, candidate: dict) -> str:
@@ -156,6 +163,20 @@ def _interleave(seed):
     return ds.build(f"interleave_{seed}", validate=False)
 
 
+def _tiny_cpu(seed):
+    """A map whose core completions collapse onto the current instant."""
+    ds = _source(seed).map(
+        UserFunction("u", cost=CostModel(cpu_seconds=1e-20)),
+        parallelism=2, name="m")
+    return ds.prefetch(2, name="pf").build(f"tiny_cpu_{seed}",
+                                           validate=False)
+
+
+def _tiny_overhead_machine():
+    """``setup_a`` with a per-element overhead below one ulp of the clock."""
+    return dataclasses.replace(setup_a(), iterator_overhead=1e-20)
+
+
 def cache_heavy(seed=0, read_cpu=1e-5, map_cpu=1.5e-3, par=4, batch=8,
                 files=16, rpf=300.0):
     """A populate-then-serve cache pipeline (the tentpole's hot shape)."""
@@ -171,10 +192,13 @@ def cache_heavy(seed=0, read_cpu=1e-5, map_cpu=1.5e-3, par=4, batch=8,
         f"cache_heavy_{seed}", validate=False)
 
 
-#: (case name, zero-arg pipeline builder, RunConfig kwargs). The
-#: corpus spans every node type the engines implement, single- and
-#: multi-source graphs, warmup windows, model consumers, explicit
-#: epochs/granularity, and sub-chunk trace windows.
+#: (case name, zero-arg pipeline builder, RunConfig kwargs[, zero-arg
+#: machine builder — ``setup_a`` when absent]). The corpus spans every
+#: node type the engines implement, single- and multi-source graphs,
+#: warmup windows, model consumers, explicit epochs/granularity,
+#: sub-chunk trace windows, and collapsed timers (a positive delay
+#: below one ulp of the clock) on a core completion and on the first
+#: half of a fused queue handoff.
 GOLDEN_CASES = [
     ("map_chain_0", lambda: _map_chain(0),
      dict(duration=2.0, warmup=0.5)),
@@ -213,6 +237,10 @@ GOLDEN_CASES = [
      dict(duration=2.0, warmup=0.5, granularity=7)),
     ("cache_heavy_4", lambda: cache_heavy(4, files=8, rpf=150.0),
      dict(duration=3.0, warmup=2.9)),
+    ("collapsed_core_0", lambda: _tiny_cpu(0),
+     dict(duration=6.0, warmup=0.0)),
+    ("collapsed_pair_0", lambda: _map_chain(0),
+     dict(duration=2.0, warmup=0.5, trace=False), _tiny_overhead_machine),
 ]
 
 

@@ -1,18 +1,18 @@
-"""Golden-trace equivalence harness for the simulation engines.
+"""Golden-trace equivalence harness for the simulator.
 
-``tests/golden/`` holds one checked-in reference fingerprint per corpus
-case: every observable of a run on the *reference* (scalar generator)
-engine — the serialized trace JSON string, per-queue telemetry, and the
-consumer-visible results. These tests pin both engines to that corpus:
+``tests/golden/`` holds one checked-in fingerprint per corpus case:
+every observable of a run on the reference generator engine (the oracle
+in ``tests/reference_engine.py``) — the serialized trace JSON string,
+per-queue telemetry, and the consumer-visible results. These tests pin
+both engines to that corpus:
 
-* the vectorized engine must reproduce each reference fingerprint
-  exactly (byte-identical trace string, equal counters) — the
-  tentpole's correctness contract;
-* the reference engine must still reproduce its own corpus — so a
-  behavioural change to the shared resource models is caught as a
-  corpus drift, distinct from a vectorization bug.
+* the shipped engine (``src/repro/runtime``) must reproduce each
+  fingerprint exactly (byte-identical trace string, equal counters);
+* the oracle must still reproduce its own corpus — so a behavioural
+  change to the shared wiring or resource models is caught as a corpus
+  drift, distinct from a bug in the shipped engine alone.
 
-Regenerate after an *intentional* semantic change with::
+Regenerate from the oracle after an *intentional* semantic change with::
 
     PYTHONPATH=src python -m pytest tests/test_engine_golden.py \
         --regenerate-golden
@@ -48,25 +48,25 @@ def test_corpus_is_complete():
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=CASE_IDS)
 def test_vectorized_matches_golden(case, regenerate_golden):
-    """The vectorized engine reproduces the reference corpus exactly."""
+    """The shipped engine reproduces the oracle's corpus exactly."""
     name = case[0]
     if regenerate_golden:
-        write_golden(name, run_fingerprint(case, "reference"))
+        write_golden(name, run_fingerprint(case, oracle=True))
     golden = load_golden(name)
-    got = run_fingerprint(case, "vectorized")
+    got = run_fingerprint(case)
     assert got == golden, dump_mismatch(f"{name}_vectorized", golden, got)
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=CASE_IDS)
 def test_reference_matches_golden(case, regenerate_golden):
-    """The reference engine still reproduces its own corpus (drift
-    detector: separates resource-model changes from vectorization
+    """The oracle still reproduces its own corpus (drift detector:
+    separates wiring/resource-model changes from shipped-engine
     bugs)."""
     if regenerate_golden:
         pytest.skip("corpus being regenerated from this engine")
     name = case[0]
     golden = load_golden(name)
-    got = run_fingerprint(case, "reference")
+    got = run_fingerprint(case, oracle=True)
     assert got == golden, dump_mismatch(f"{name}_reference", golden, got)
 
 

@@ -248,9 +248,9 @@ class TestCacheTokenProperties:
 
     @pytest.mark.parametrize("spec, key", [
         (OptimizeSpec(),
-         "dee78d3fac73a26ad20648bbb157a00c25ada7692e88d7fd1758fb71184739e1"),
+         "b995332c447676887409168a9d9d29a9a577dd415d61d505e077acf7cdcf8ab5"),
         (OptimizeSpec(backend="analytic"),
-         "899dfbc4bfe89101e4e608c38fd226f9048bf6e382be432fbb6f7fefb3fc1f71"),
+         "855959d0beee7183754168505b95edacc060c9686da4bc4f267a5c13431a66bb"),
     ])
     def test_pinned_cache_keys(self, spec, key):
         """Literal keys: a change to the token's layout or defaults would

@@ -20,9 +20,11 @@ from repro.graph.signature import infer_signatures, structural_signature
 from repro.graph.udf import CostModel, UserFunction
 from repro.host.disk import DiskSpec
 from repro.io.filesystem import FileCatalog
-from repro.runtime.engine import Get, Put, SimQueue, Simulation
+from repro.runtime.engine import SimQueue, Simulation
 from repro.runtime.executor import ModelConsumer, RunConfig
+from tests import reference_engine
 from tests.engine_equivalence import fingerprint
+from tests.reference_engine import Get, Put, spawn
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -113,7 +115,7 @@ def dag_pipelines(draw):
 
 @st.composite
 def run_configs(draw):
-    """Random :class:`RunConfig` kwargs (engine chosen by the test)."""
+    """Random :class:`RunConfig` kwargs."""
     duration = draw(st.floats(0.05, 1.0))
     cfg = {
         "duration": duration,
@@ -328,8 +330,8 @@ class TestQueueProperties:
             for _ in items:
                 received.append((yield Get(q)))
 
-        sim.spawn(producer())
-        sim.spawn(consumer())
+        spawn(sim, producer())
+        spawn(sim, consumer())
         sim.run(1.0)
         assert received == items
 
@@ -350,8 +352,8 @@ class TestQueueProperties:
                 received.append((yield Get(q)))
 
         for t in range(n_prod):
-            sim.spawn(producer(t))
-        sim.spawn(consumer())
+            spawn(sim, producer(t))
+        spawn(sim, consumer())
         sim.run(10.0)
         assert sorted(received) == sorted(
             (t, i) for t in range(n_prod) for i in range(per_prod)
@@ -359,12 +361,12 @@ class TestQueueProperties:
 
 
 class TestEngineEquivalence:
-    """The vectorized engine's contract, stressed on *random* programs:
-    for any pipeline and any run configuration, fast == reference
-    exactly — byte-identical trace JSON, equal NodeStats, equal queue
-    telemetry and consumer observables. The curated corpus in
-    ``tests/golden/`` pins known shapes; these properties hunt the
-    shapes nobody curated."""
+    """The simulator's contract, stressed on *random* programs: for any
+    pipeline and any run configuration, the shipped engine equals the
+    reference oracle exactly — byte-identical trace JSON, equal
+    NodeStats, equal queue telemetry and consumer observables. The
+    curated corpus in ``tests/golden/`` pins known shapes; these
+    properties hunt the shapes nobody curated."""
 
     @staticmethod
     def _assert_engines_identical(pipeline, cfg):
@@ -372,12 +374,9 @@ class TestEngineEquivalence:
         # its own clone via the serialization round-trip so neither run
         # observes the other's node state.
         data = pipeline_to_dict(pipeline)
-        ref = fingerprint(
-            pipeline_from_dict(data), RunConfig(engine="reference", **cfg)
-        )
-        vec = fingerprint(
-            pipeline_from_dict(data), RunConfig(engine="vectorized", **cfg)
-        )
+        ref = fingerprint(pipeline_from_dict(data), RunConfig(**cfg),
+                          run=reference_engine.run_pipeline)
+        vec = fingerprint(pipeline_from_dict(data), RunConfig(**cfg))
         assert vec["trace"] == ref["trace"]
         assert vec == ref
 

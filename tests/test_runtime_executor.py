@@ -262,6 +262,26 @@ class TestSemantics:
         assert res.completed
         assert res.minibatches == pytest.approx(10.0, abs=0.01)
 
+    def test_drain_before_warmup_measures_whole_run(
+        self, small_catalog, test_machine
+    ):
+        """A stream that ends before ``warmup`` is measured over [0,
+        drain instant], not over an empty window after the warmup timer
+        (which used to report throughput 0)."""
+        pipe = (
+            from_tfrecords(small_catalog, parallelism=2, name="src")
+            .batch(16, name="b")
+            .take(10, name="t")
+            .build("take")
+        )
+        res = run_pipeline(pipe, test_machine, duration=60.0, warmup=30.0)
+        assert res.completed
+        assert res.minibatches == pytest.approx(10.0, abs=0.01)
+        assert 0 < res.measured_seconds < 30.0
+        assert res.throughput == pytest.approx(
+            res.minibatches / res.measured_seconds)
+        assert res.throughput > 0
+
     def test_filter_reduces_elements(self, small_catalog, test_machine):
         pipe = (
             from_tfrecords(small_catalog, parallelism=2, name="src")
