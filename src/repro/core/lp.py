@@ -1,31 +1,36 @@
-"""The Plumber linear program (§4.3).
+"""The Plumber linear program (§4.3), solved in closed form.
 
 Maximize ``X = min_i θ_i R_i`` subject to ``Σ θ_i ≤ n_cores``,
 ``0 ≤ θ_i``, ``θ_i ≤ 1`` for sequential Datasets, plus disk-bandwidth
-constraints ``X * bytes_per_minibatch ≤ bw(θ_src)`` where ``bw`` is a
-concave piecewise-linear parallelism→bandwidth curve (each affine
-segment becomes one LP row).
+constraints ``X * bytes_per_minibatch ≤ bw(s_src)`` with
+``0 ≤ s_src ≤ max_io_streams``, where ``bw`` is a concave,
+non-decreasing piecewise-linear parallelism→bandwidth curve (each
+affine segment is one LP row).
 
-Solved with ``scipy.optimize.linprog`` (HiGHS). Unlike AUTOTUNE's
-latency model, the optimum here is bounded by resource usage — the
-property Figure 7 demonstrates.
+The optimum is exact without a solver. Each row family caps ``X``
+through one monotone quantity: the core budget forces
+``X·Σ 1/R_i ≤ n_cores``, a sequential node forces ``X ≤ R_i``, and
+since ``bw`` is concave and non-decreasing it peaks at
+``max_io_streams``, so a source forces ``X ≤ bw(max_io_streams) / bpm``.
+Hence ``X* = min(n_cores / Σ 1/R_i, min_seq R_i, bw(s_max) / bpm)``,
+attained by ``θ_i = X*/R_i`` (the fewest cores) and the smallest stream
+count that still carries ``X*·bpm``. Unlike AUTOTUNE's latency model,
+the optimum here is bounded by resource usage — the property Figure 7
+demonstrates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy.optimize import linprog
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.rates import PipelineModel
-from repro.graph.datasets import InterleaveSourceNode
 
 
 class LPError(RuntimeError):
-    """Raised when the LP is infeasible or the solver fails."""
+    """Raised for a non-finite or non-positive core budget, or an
+    infeasible or unbounded LP."""
 
 
 @dataclass
@@ -89,14 +94,15 @@ def solve_allocation(
         Core budget (defaults to the traced host's core count).
     disk_segments:
         Affine ``(slope, intercept)`` segments of the source
-        parallelism→bandwidth curve; defaults to the traced host's disk
-        spec. Ignored when the pipeline reads no bytes (fully cached).
+        parallelism→bandwidth curve, which must be concave and
+        non-decreasing; defaults to the traced host's disk spec.
+        Ignored when the pipeline reads no bytes (fully cached).
     """
     host = model.trace.host
     if cores is None:
         cores = float(host.cores)
-    if cores <= 0:
-        raise LPError(f"core budget must be > 0, got {cores}")
+    if not 0 < cores < math.inf:
+        raise LPError(f"core budget must be finite and > 0, got {cores}")
 
     # Steady-state cache semantics (§B): a trace taken during the cache's
     # populate epoch still shows upstream CPU and disk traffic, but after
@@ -112,14 +118,7 @@ def solve_allocation(
     if use_disk and disk_segments is None:
         disk_segments = host.disk.segments()
 
-    # Variables: [X, θ_0..θ_{k-1}, s_0..s_{m-1}] (s = source streams).
-    names = [r.name for r in cpu_nodes]
-    k = len(names)
-    src_names = [s.name for s in sources] if use_disk else []
-    m = len(src_names)
-    nvar = 1 + k + m
-
-    if k == 0 and not use_disk:
+    if not cpu_nodes and not use_disk:
         # Nothing consumes CPU or disk: the model cannot bound throughput.
         return LPSolution(
             predicted_throughput=math.inf,
@@ -130,71 +129,45 @@ def solve_allocation(
             status="unbounded",
         )
 
-    c = np.zeros(nvar)
-    c[0] = -1.0  # maximize X
-    # Tiny penalties break degeneracy: among all X-optimal allocations,
-    # prefer the one using the fewest cores and I/O streams (otherwise
-    # the solver may park stream variables at their upper bound).
-    c[1 : 1 + k] = 1e-9
-    c[1 + k :] = 1e-9
-
-    a_ub: List[np.ndarray] = []
-    b_ub: List[float] = []
-    row_labels: List[str] = []
-
-    # X - θ_i R_i <= 0 for every CPU node.
-    for i, rates in enumerate(cpu_nodes):
-        row = np.zeros(nvar)
-        row[0] = 1.0
-        row[1 + i] = -rates.rate_per_core
-        a_ub.append(row)
-        b_ub.append(0.0)
-        row_labels.append(rates.name)
-
-    # Σ θ_i <= cores.
-    row = np.zeros(nvar)
-    row[1 : 1 + k] = 1.0
-    a_ub.append(row)
-    b_ub.append(cores)
-    row_labels.append("cpu")
-
-    # Disk: X * bpm - slope * s_j <= intercept for each curve segment.
+    # One cap per row family; X* is the smallest. Dict order (cpu,
+    # sequential nodes, sources) breaks ties.
+    caps: Dict[str, float] = {}
+    if cpu_nodes:
+        caps["cpu"] = cores / sum(1.0 / r.rate_per_core for r in cpu_nodes)
+    for r in cpu_nodes:
+        if r.sequential:
+            caps[f"seq:{r.name}"] = r.rate_per_core
     if use_disk:
-        for j in range(m):
-            for slope, intercept in disk_segments:
-                row = np.zeros(nvar)
-                row[0] = bpm
-                row[1 + k + j] = -slope
-                a_ub.append(row)
-                b_ub.append(intercept)
-                row_labels.append("disk")
+        bw_max = min(
+            (slope * max_io_streams + icept for slope, icept in disk_segments),
+            default=math.inf,
+        )
+        for s in sources:
+            caps[f"disk:{s.name}"] = bw_max / bpm
+    label = min(caps, key=caps.get)
+    predicted = caps[label]
+    if not 0 <= predicted < math.inf:
+        raise LPError(f"LP infeasible or unbounded: {label} caps X at {predicted}")
 
-    bounds: List[Tuple[float, Optional[float]]] = [(0.0, None)]
-    for rates in cpu_nodes:
-        upper = 1.0 if rates.sequential else None
-        bounds.append((0.0, upper))
-    for _ in range(m):
-        bounds.append((0.0, max_io_streams))
+    # Minimal cores: θ_i = X*/R_i; minimal streams: the smallest s with
+    # X*·bpm ≤ slope·s + intercept on every rising segment.
+    theta = {r.name: predicted / r.rate_per_core for r in cpu_nodes}
+    io_streams = {}
+    if use_disk:
+        need = max(
+            ((predicted * bpm - icept) / slope
+             for slope, icept in disk_segments if slope > 0),
+            default=0.0,
+        )
+        io_streams = {s.name: min(max(0.0, need), max_io_streams) for s in sources}
 
-    result = linprog(
-        c,
-        A_ub=np.array(a_ub),
-        b_ub=np.array(b_ub),
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
-        raise LPError(f"LP solve failed: {result.message}")
-
-    x = result.x
-    predicted = float(x[0])
-    theta = {name: float(x[1 + i]) for i, name in enumerate(names)}
-    io_streams = {name: float(x[1 + k + j]) for j, name in enumerate(src_names)}
-
-    bottleneck = _binding_constraint(
-        predicted, cpu_nodes, cores, use_disk, bpm,
-        disk_segments if use_disk else (), src_names, max_io_streams,
-    )
+    if label == "cpu":
+        # Report the dominant CPU consumer (largest 1/R_i share).
+        bottleneck = min(cpu_nodes, key=lambda r: r.rate_per_core).name
+    elif label.startswith("seq:"):
+        bottleneck = label[len("seq:"):]
+    else:
+        bottleneck = label
     return LPSolution(
         predicted_throughput=predicted,
         theta=theta,
@@ -212,52 +185,3 @@ def _cached_subtree(pipeline) -> set:
     """
     return pipeline.below_cache_names()
 
-
-def _binding_constraint(
-    predicted: float,
-    cpu_nodes,
-    cores: float,
-    use_disk: bool,
-    bpm: float,
-    disk_segments,
-    src_names,
-    max_io_streams: float,
-    tol: float = 1e-4,
-) -> str:
-    """Identify which structural cap equals the LP optimum.
-
-    For this LP the optimum is exactly
-    ``min(cores / Σ(1/R_i),  min_seq R_i,  bw_max / bpm)``; we compute
-    each cap and attribute the minimum. When the aggregate-CPU cap
-    binds, the reported node is the dominant CPU consumer (largest
-    1/R_i share), matching how Plumber surfaces bottlenecks.
-    """
-    caps: Dict[str, float] = {}
-    inv_rate_sum = sum(
-        1.0 / r.rate_per_core for r in cpu_nodes if r.rate_per_core > 0
-    )
-    if inv_rate_sum > 0:
-        caps["cpu"] = cores / inv_rate_sum
-    for r in cpu_nodes:
-        if r.sequential and math.isfinite(r.rate_per_core):
-            caps[f"seq:{r.name}"] = r.rate_per_core
-    if use_disk and disk_segments:
-        bw_max = min(
-            (slope * max_io_streams + icept for slope, icept in disk_segments),
-            default=math.inf,
-        )
-        for name in src_names:
-            caps[f"disk:{name}"] = bw_max / bpm
-    if not caps:
-        return "unbounded"
-    label = min(caps, key=caps.get)
-    if caps[label] > predicted * (1 + 10 * tol):
-        # Solver landed strictly below every structural cap (shouldn't
-        # happen, but stay honest rather than mislabel).
-        return "unbounded"
-    if label == "cpu" and cpu_nodes:
-        dominant = max(cpu_nodes, key=lambda r: 1.0 / max(r.rate_per_core, 1e-30))
-        return dominant.name
-    if label.startswith("seq:"):
-        return label[len("seq:"):]
-    return label

@@ -668,7 +668,8 @@ def _trace_from(
         serve-side CPU cost would otherwise give the cache node a
         ~1e-19 core-second charge and a finite ~1e20 rate-per-core —
         where the simulator records exactly zero and an infinite rate —
-        feeding the LP a coefficient scale that HiGHS rejects outright.
+        putting a spurious node into the LP that the simulator's model
+        does not have.
         """
         window = min(root_total_end, cut) - min(root_at_warmup, cut)
         total = min(root_total_end, cut)

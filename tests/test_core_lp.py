@@ -69,8 +69,10 @@ class TestLP:
         from repro.core.lp import LPError
 
         model = model_of(two_stage_pipeline(small_catalog), test_machine)
-        with pytest.raises(LPError):
-            solve_allocation(model, cores=0)
+        # Non-finite budgets too: the closed form would return NaN or inf.
+        for cores in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(LPError):
+                solve_allocation(model, cores=cores)
 
     def test_disk_constraint_binds(self, small_catalog, test_machine):
         from repro.host.disk import token_bucket
@@ -154,3 +156,26 @@ class TestParallelismPlan:
         )
         assert seq_theta > 0.5  # the sequential stage really is busy
         assert sum(plan.values()) + seq_theta <= sol.cores + 1e-6
+
+    def test_sequential_bottleneck_leaves_tunables_minimal(self):
+        """Regression (gnmt): with the upstream cached, the sequential
+        shuffle_and_repeat binds, so every other tunable needs only
+        ``ceil(X*/R_i)`` threads. A solver whose minimal-core penalty sat
+        below its tolerance parked θ_batch at 13.8, and the plan gave
+        batch 14 threads it cannot use."""
+        from repro.core.plumber import Plumber
+        from repro.core.rewriter import insert_cache_after
+        from repro.host.machine import setup_a
+        from repro.workloads.gnmt import build_gnmt
+
+        pipe = insert_cache_after(build_gnmt(), "map_tokenize")
+        model = Plumber(setup_a()).model(pipe)
+        sol = solve_allocation(model)
+        assert sol.bottleneck == "shuffle_and_repeat"
+        plan = sol.parallelism_plan(model)
+        rates = {r.name: r.rate_per_core for r in model.cpu_nodes()}
+        assert plan == {
+            name: math.ceil(sol.predicted_throughput / rates[name])
+            for name in plan
+        }
+        assert plan["batch"] == 1

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on core data structures and
-invariants: visit ratios, byte accounting, LP feasibility, the disk
-curve fit, queues, and the subsample estimator."""
+invariants: visit ratios, byte accounting, the closed-form LP against
+its HiGHS oracle, the disk curve fit, queues, and the subsample
+estimator."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.disk_planner import fit_piecewise
+from repro.core.lp import LPError, solve_allocation
 from repro.graph.builder import (
     from_tfrecords,
     interleave_datasets,
@@ -22,7 +25,7 @@ from repro.host.disk import DiskSpec
 from repro.io.filesystem import FileCatalog
 from repro.runtime.engine import SimQueue, Simulation
 from repro.runtime.executor import ModelConsumer, RunConfig
-from tests import reference_engine
+from tests import lp_oracle, reference_engine
 from tests.engine_equivalence import fingerprint
 from tests.reference_engine import Get, Put, spawn
 
@@ -128,6 +131,64 @@ def run_configs(draw):
     if draw(st.booleans()):
         cfg["consumer"] = ModelConsumer(draw(st.floats(0.0, 5e-4)))
     return cfg
+
+
+def log_uniform(lo: float, hi: float):
+    """Floats spread evenly over the decades ``10**lo .. 10**hi``."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def concave_disks(draw):
+    """A :class:`DiskSpec` with a random concave, non-decreasing curve
+    that starts at one stream, like the shipped disk models. Integer
+    points keep the recomputed slopes exact for the concavity check."""
+    x, y = 1, int(draw(log_uniform(4, 10)))
+    points = [(x, y)]
+    slopes = sorted(
+        (int(v) for v in draw(st.lists(st.just(0) | log_uniform(3, 9),
+                                        max_size=4))),
+        reverse=True)
+    for slope in slopes:
+        dx = draw(st.integers(1, 64))
+        x, y = x + dx, y + slope * dx
+        points.append((x, y))
+    return DiskSpec("prop", curve=tuple(points))
+
+
+@st.composite
+def lp_models(draw):
+    """The slice of a :class:`PipelineModel` the allocation LP reads:
+    CPU node rates and sequential flags, sources and their bytes read,
+    the cached-subtree names, ``bytes_per_minibatch`` and the host.
+
+    Scales keep ``X*`` at or above 1e-4 minibatches/s: near HiGHS's
+    1e-7 feasibility tolerance the oracle rounds a tiny optimum to zero
+    and labels the bottleneck "unbounded"."""
+    nodes = [
+        SimpleNamespace(name=f"n{i}", rate_per_core=draw(log_uniform(0, 6)),
+                        sequential=draw(st.booleans()))
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    sources = [SimpleNamespace(name=f"src{j}")
+               for j in range(draw(st.integers(0, 2)))]
+    names = [n.name for n in nodes] + [s.name for s in sources]
+    cached = set(draw(st.lists(st.sampled_from(names), unique=True,
+                               max_size=2))
+                 if names else ())
+    stats = {s.name: SimpleNamespace(bytes_read=draw(st.sampled_from([0.0, 1e6])))
+             for s in sources}
+    host = SimpleNamespace(cores=draw(st.integers(1, 128)), disk=draw(concave_disks()))
+    return SimpleNamespace(
+        cpu_nodes=lambda: nodes,
+        pipeline=SimpleNamespace(below_cache_names=lambda: cached,
+                                 sources=lambda: sources),
+        trace=SimpleNamespace(host=host, stats=stats),
+        # One in five reads nothing per minibatch, or never completes one.
+        bytes_per_minibatch=draw(
+            st.sampled_from([0.0, math.inf]) if draw(st.integers(0, 4)) == 0
+            else log_uniform(2, 8)),
+    )
 
 
 class TestCatalogProperties:
@@ -309,6 +370,55 @@ class TestDiskCurveProperties:
         spec = DiskSpec("d", curve=tuple(spec_points))
         bw = spec.bandwidth(streams)
         assert 0 <= bw <= spec.max_bandwidth * (1 + 1e-9)
+
+
+class TestLPProperties:
+    @given(lp_models(), st.none() | st.floats(0.25, 256.0),
+           st.floats(1.0, 256.0))
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_highs(self, model, cores, max_streams):
+        try:
+            expected = lp_oracle.solve_allocation(
+                model, cores=cores, max_io_streams=max_streams)
+        except LPError:
+            with pytest.raises(LPError):
+                solve_allocation(model, cores=cores, max_io_streams=max_streams)
+            return
+        sol = solve_allocation(model, cores=cores, max_io_streams=max_streams)
+        assert sol.status == expected.status
+        assert sol.bottleneck == expected.bottleneck
+        x = sol.predicted_throughput
+        # The closed form is exact; HiGHS may overshoot by its 1e-7
+        # feasibility tolerance (e.g. θ = 1 + 2e-9 on a sequential node).
+        assert x == pytest.approx(expected.predicted_throughput, rel=1e-7)
+        if sol.status == "unbounded":
+            return
+
+        # θ is the minimal-core allocation and satisfies every CPU row.
+        cached = model.pipeline.below_cache_names()
+        cpu = [r for r in model.cpu_nodes() if r.name not in cached]
+        assert sol.theta == {r.name: x / r.rate_per_core for r in cpu}
+        assert sum(sol.theta.values()) <= sol.cores * (1 + 1e-9)
+        for r in cpu:
+            assert x <= sol.theta[r.name] * r.rate_per_core * (1 + 1e-12)
+            if r.sequential:
+                assert sol.theta[r.name] <= 1 + 1e-9
+
+        # Streams satisfy every disk row, and each is minimal: zero, or a
+        # rising segment is tight.
+        bpm = model.bytes_per_minibatch
+        segments = model.trace.host.disk.segments()
+        assert set(sol.io_streams) == set(expected.io_streams)
+        for streams in sol.io_streams.values():
+            assert 0 <= streams <= max_streams
+            slack = [icept + slope * streams - x * bpm
+                     for slope, icept in segments]
+            tol = 1e-9 * max(x * bpm, max(abs(c) for _, c in segments), 1.0)
+            assert min(slack) >= -tol
+            assert streams == 0 or any(
+                abs(gap) <= tol
+                for gap, (slope, _) in zip(slack, segments) if slope > 0
+            )
 
 
 class TestQueueProperties:
