@@ -3,7 +3,8 @@
 Every benchmark reproduces one table/figure from the paper's evaluation,
 prints the same rows/series, asserts the qualitative claims, and writes
 its table to ``benchmarks/results/<name>.txt`` so the output survives
-pytest's capture.
+pytest's capture. Timing benchmarks, whose numbers differ on every run,
+write to the untracked ``benchmarks/run/`` instead.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: timing tables and JSON (wallclock varies per run; gitignored)
+RUN_DIR = pathlib.Path(__file__).parent / "run"
 
 
-def emit(name: str, text: str) -> None:
-    """Print a result table and persist it under ``benchmarks/results``."""
+def emit(name: str, text: str, directory: pathlib.Path = RESULTS_DIR) -> None:
+    """Print a result table and persist it as ``<directory>/<name>.txt``."""
     print(f"\n{text}\n")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    directory.mkdir(exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
 
 
 @pytest.fixture

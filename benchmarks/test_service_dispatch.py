@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import RUN_DIR, emit
 from repro.analysis.tables import format_table
 from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
@@ -94,7 +94,8 @@ class TestShardDispatch:
         ]
         emit("BENCH_service_dispatch",
              format_table(("metric", "value"), rows,
-                          title="Sharded dispatch: concurrent fan-out"))
+                          title="Sharded dispatch: concurrent fan-out"),
+             RUN_DIR)
         assert len(occupied) >= 2
         assert report.cache_hits + report.cache_misses == NUM_JOBS
         # The scaling claim: wallclock tracks the slowest shard, not
@@ -150,7 +151,8 @@ class TestShardDispatch:
         ]
         emit("BENCH_service_http_overhead",
              format_table(("metric", "value"), rows,
-                          title="Daemon HTTP transport overhead"))
+                          title="Daemon HTTP transport overhead"),
+             RUN_DIR)
         # The HTTP hop must stay cheap relative to even one simulated
         # trace (hundreds of ms): a loose sanity bound, not a race.
         assert overhead_ms < 250

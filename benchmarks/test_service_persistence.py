@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import RUN_DIR, emit
 from repro.analysis.tables import format_table
 from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
@@ -78,7 +78,8 @@ class TestServicePersistence:
         ]
         emit("BENCH_service_persistence",
              format_table(("metric", "value"), rows,
-                          title="Disk-backed result store: warm restart"))
+                          title="Disk-backed result store: warm restart"),
+             RUN_DIR)
         assert speedup > 1.0
 
     def test_store_round_trip_latency(self, tmp_path_factory, benchmark):

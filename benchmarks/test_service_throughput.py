@@ -15,7 +15,7 @@ Two phases against live daemon processes:
   must reappear in ``repro_daemon_admission_rejections_total`` — the
   rejection counter and the wire protocol cannot disagree.
 
-Results go to ``benchmarks/results/BENCH_service_throughput.json``
+Results go to ``benchmarks/run/BENCH_service_throughput.json``
 (machine-readable, uploaded as a CI artifact by the ``throughput``
 job) plus the usual text table.
 """
@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import RUN_DIR, emit
 from repro.analysis.tables import format_table
 from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
@@ -71,9 +71,8 @@ def _quantiles(snapshot: dict, name: str, route: str) -> dict:
 class TestServiceThroughput:
     def test_sustained_and_saturation(self, fleet, once):
         payload = once(self._run, fleet)
-        emit("BENCH_service_throughput", self._table(payload))
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / "BENCH_service_throughput.json").write_text(
+        emit("BENCH_service_throughput", self._table(payload), RUN_DIR)
+        (RUN_DIR / "BENCH_service_throughput.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
         sustained = payload["sustained"]

@@ -24,7 +24,7 @@ identical — the perf claim is only meaningful under the equivalence
 contract, so the benchmark refuses to report a speedup for diverging
 engines.
 
-Results go to ``benchmarks/results/BENCH_sim_speed.json`` (uploaded as
+Results go to ``benchmarks/run/BENCH_sim_speed.json`` (uploaded as
 a CI artifact by the ``simspeed`` job) plus the usual text table. The
 assertion floor is 2.5x — below the ~3x typical measurement by a noise
 margin, so a real regression (dropping to ~1x) fails loudly while
@@ -38,7 +38,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import RUN_DIR, emit
 from repro.core.trace import PipelineTrace
 from repro.host.machine import setup_a
 from repro.runtime.executor import RunConfig, run_pipeline
@@ -105,9 +105,8 @@ class TestSimSpeed:
              f"{m['vectorized_seconds']:.3f}", f"{m['speedup']:.2f}x")
             for name, m in payload["seeds"].items()
         ]
-        emit("BENCH_sim_speed", _table(rows))
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / "BENCH_sim_speed.json").write_text(
+        emit("BENCH_sim_speed", _table(rows), RUN_DIR)
+        (RUN_DIR / "BENCH_sim_speed.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
         for name, m in payload["seeds"].items():

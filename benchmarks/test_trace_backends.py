@@ -9,22 +9,20 @@ analytic fast path to beat simulation by >= 10x on the NLP job (the
 domain whose µs-scale op costs made full-fleet optimization
 prohibitive).
 
-Results are emitted as a table under ``benchmarks/results/`` and as a
-machine-readable artifact ``BENCH_trace_backends.json`` at the repo
-root, so the perf trajectory of trace acquisition is tracked across
-PRs.
+Results are emitted as a table and as a machine-readable artifact
+``BENCH_trace_backends.json`` under the untracked ``benchmarks/run/``
+(wallclock differs on every run).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import RUN_DIR, emit
 from repro.analysis.tables import format_table
 from repro.core.lp import solve_allocation
 from repro.core.plumber import Plumber
@@ -38,7 +36,7 @@ SEED = 3
 #: acceptance bar: analytic trace acquisition speedup on the NLP job
 NLP_SPEEDUP_FLOOR = 10.0
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_trace_backends.json"
+BENCH_PATH = RUN_DIR / "BENCH_trace_backends.json"
 
 
 def _domain_job(domain: str):
@@ -133,6 +131,6 @@ class TestTraceBackendBench:
             table_rows,
             title="Trace acquisition cost by backend (one fleet job/domain)",
         )
-        emit("trace_backends", table)
+        emit("trace_backends", table, RUN_DIR)
         BENCH_PATH.write_text(json.dumps(artifact, indent=2) + "\n")
         assert BENCH_PATH.exists()

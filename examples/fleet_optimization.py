@@ -6,29 +6,27 @@ constantly), drives every job through Plumber's trace→analyze→optimize
 loop on a worker pool, and prints the aggregate report: per-job
 speedups, the bottleneck histogram, and the signature-cache hit rate.
 
-The whole optimizer configuration is one ``OptimizeSpec``. Here it
-selects the ``"adaptive"`` trace backend: every job is first modelled
-with the closed-form analytic fast path, and only the jobs whose
-bottleneck attribution is ambiguous pay for a discrete-event
-simulation — the fleet-scale policy the per-trace backends exist for.
+The whole optimizer configuration is one ``OptimizeSpec``; here it is
+the default one. Every pass plans against the closed-form analytic
+model, and the discrete-event simulator runs only twice per
+optimization: once on the input (the baseline) and once on the final
+program, to certify it. A program the simulator measures slower than
+its input is reverted. The example ends with each template's
+certification verdict.
 
 Run: ``python examples/fleet_optimization.py``
 """
 
 import time
 
+from repro.analysis.tables import format_table
+from repro.core.plumber import Plumber
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
-from repro.runtime import resolve_backend
 from repro.service import BatchOptimizer, OptimizeSpec
 
 
 def main():
-    spec = OptimizeSpec(
-        iterations=1,
-        trace_duration=3.0,
-        trace_warmup=0.5,
-        backend="adaptive",
-    )
+    spec = OptimizeSpec()
     fleet = generate_pipeline_fleet(
         num_jobs=30,
         distinct=8,
@@ -40,12 +38,6 @@ def main():
           f"(domains: {', '.join(domains)})\n")
 
     service = BatchOptimizer(executor="thread", max_workers=4, spec=spec)
-    # The registry's adaptive backend logs its routing decisions
-    # in-process; snapshot the log so the report below covers only this
-    # run. (With executor="process" the decisions land in the workers'
-    # registry copies instead, so the report would be empty.)
-    adaptive = resolve_backend("adaptive")
-    seen_before = len(adaptive.decisions)
     t0 = time.time()
     report = service.optimize_fleet(fleet)
     elapsed = time.time() - t0
@@ -57,16 +49,32 @@ def main():
           f"({report.cache_misses} actual optimizations, "
           f"{report.cache_hit_rate:.0%} served from the signature cache)")
 
-    # How often did the adaptive policy trust the analytic fast path?
-    decisions = adaptive.decisions[seen_before:]
-    if decisions:
-        analytic = sum(1 for d in decisions if d.chosen == "analytic")
-        print(f"adaptive backend: {analytic}/{len(decisions)} traces "
-              "served analytically, the rest simulated")
-
     # Re-submitting the fleet is free: every signature is now cached.
     again = service.optimize_fleet(fleet)
     print(f"re-submission: {again.cache_hits}/{len(again.jobs)} cache hits")
+
+    # The certificate behind each template's result (jobs cycle through
+    # the templates, so the first 8 jobs are one of each): what the
+    # analytic planner expected and what the simulator measured.
+    rows = []
+    for job in fleet[:8]:
+        cert = Plumber(job.machine, spec=spec).optimize(
+            job.pipeline).certification
+        rows.append((
+            job.name,
+            f"{cert['baseline']:.2f}",
+            f"{cert['planned']:.2f}",
+            f"{cert['certified']:.2f}",
+            cert["verdict"],
+            "yes" if cert["bottleneck_agrees"] else "no",
+        ))
+    print()
+    print(format_table(
+        ("job", "baseline mb/s", "planned (analytic)",
+         "certified (simulate)", "verdict", "same bottleneck"),
+        rows,
+        title="Certification — analytic plan vs simulated result",
+    ))
 
 
 if __name__ == "__main__":

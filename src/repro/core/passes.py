@@ -6,7 +6,10 @@ object with a ``name`` and a ``plan(ctx)`` method that inspects the
 current :class:`~repro.core.rates.PipelineModel` and returns a list of
 :class:`Action` rewrites. The driver (:meth:`repro.core.plumber.Plumber.
 optimize`) applies the actions through :mod:`repro.core.rewriter` and
-re-traces, so a pass never mutates a pipeline itself — it only *plans*.
+re-traces the rewritten pipeline with the analytic backend, so a pass
+never mutates a pipeline itself — it only *plans*, always against the
+closed-form model. The spec's trace backend certifies the final program
+once the passes are done.
 
 Passes are looked up by name through a module-level registry, which is
 what keeps ``Plumber.optimize(pipeline, passes=("parallelism",
@@ -148,11 +151,11 @@ class PassContext:
     """Everything a pass may read (and the driver state it may update).
 
     ``model`` always reflects the *current* pipeline — the driver
-    refreshes it after every pass that applied actions. ``lp`` and
-    ``cache`` are cross-pass state slots: the parallelism pass records
-    its latest LP solution, the cache pass its (single) cache decision,
-    and the final :class:`~repro.core.plumber.OptimizationResult` reports
-    both.
+    refreshes it (an analytic trace) after every pass that applied
+    actions. ``lp`` and ``cache`` are cross-pass state slots: the
+    parallelism pass records its latest LP solution, the cache pass its
+    (single) cache decision, and the final
+    :class:`~repro.core.plumber.OptimizationResult` reports both.
     """
 
     machine: Machine

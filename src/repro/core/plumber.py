@@ -7,7 +7,12 @@ The paper's workflow, one line for the user:
 3. **Optimize** — a pipeline of :class:`~repro.core.passes.OptimizerPass`
    stages (LP parallelism, prefetch insertion, cache insertion by
    default), run for two iterations "so that the estimated rates more
-   closely reflect the final pipeline's performance".
+   closely reflect the final pipeline's performance". Every pass plans
+   against the closed-form analytic model of the current rewritten
+   pipeline; the spec's trace backend runs only twice, on the input and
+   on the final program, and *certifies* the result: a program it
+   measures slower than the input is reverted (§4: the model, not
+   repeated measurement, picks the rewrite).
 4. **Rewrite** and hand back a pipeline with the same signature.
 
 The whole configuration — passes, iterations, backend, trace window,
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.cache_planner import CacheDecision
-from repro.core.lp import LPSolution
+from repro.core.lp import LPError, LPSolution, solve_allocation
 from repro.core.passes import PassContext, resolve_passes
 from repro.core.rates import PipelineModel, build_model
 from repro.core.rewriter import strip_caches
@@ -52,15 +57,23 @@ class OptimizationResult:
     cache: Optional[CacheDecision]
     decisions: List[str] = field(default_factory=list)
     predicted_throughput: float = math.nan
-    #: observed throughput of the *unoptimized* pipeline's first trace
+    #: the spec backend's throughput of the *unoptimized* input
     baseline_throughput: float = math.nan
     #: every cache planned (one per branch on multi-source DAGs);
     #: ``cache`` is the closest-to-root entry, kept for compatibility
     caches: List[CacheDecision] = field(default_factory=list)
     #: one entry per (iteration, registered pass), in execution order —
     #: wallclock spent (plan + apply + re-trace), actions taken, and
-    #: predicted vs realized throughput gain; see ``Plumber.optimize``
+    #: predicted vs realized throughput gain. The throughputs are the
+    #: planner's (analytic) view; see ``Plumber.optimize``
     pass_telemetry: List[dict] = field(default_factory=list)
+    #: how the spec backend judged the planned program: ``planner`` and
+    #: ``certifier`` backend names, the ``baseline``, ``planned`` and
+    #: ``certified`` throughputs, the ``verdict`` (``"accepted"``,
+    #: ``"reverted"`` or ``"same-backend"``), and ``bottleneck_agrees``
+    #: (planner and certifier LPs blame the same node; None when an LP
+    #: failed)
+    certification: dict = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -73,6 +86,18 @@ class OptimizationResult:
     def bottleneck(self) -> str:
         """The LP's binding constraint, or ``"none"`` without an LP pass."""
         return self.lp.bottleneck if self.lp is not None else "none"
+
+
+def _run_config(spec: OptimizeSpec, **overrides) -> RunConfig:
+    """The traced run a spec describes; keyword overrides win."""
+    return RunConfig(**{
+        "duration": spec.trace_duration,
+        "warmup": spec.trace_warmup,
+        "granularity": spec.granularity,
+        "event_budget": spec.event_budget,
+        "trace": True,
+        **overrides,
+    })
 
 
 class Plumber:
@@ -121,17 +146,9 @@ class Plumber:
         backend = resolve_backend(
             overrides.pop("backend", None) or self.backend
         )
-        config = RunConfig(
-            duration=overrides.pop("duration", self.spec.trace_duration),
-            warmup=overrides.pop("warmup", self.spec.trace_warmup),
-            granularity=overrides.pop("granularity", self.spec.granularity),
-            event_budget=overrides.pop(
-                "event_budget", self.spec.event_budget
-            ),
-            trace=overrides.pop("trace", True),
-            **overrides,
+        return backend.trace(
+            pipeline, self.machine, _run_config(self.spec, **overrides)
         )
-        return backend.trace(pipeline, self.machine, config)
 
     def analyze(self, trace: PipelineTrace) -> PipelineModel:
         """Derive the operational model from a trace."""
@@ -141,19 +158,11 @@ class Plumber:
         """Trace + analyze in one call."""
         return self.analyze(self.trace(pipeline))
 
-    def _model_for_spec(self, pipeline: Pipeline,
-                        spec: OptimizeSpec) -> PipelineModel:
-        """Trace + analyze under an explicit spec (the optimize driver's
-        path, so a per-call spec override governs trace acquisition too,
-        not just pass selection)."""
-        config = RunConfig(
-            duration=spec.trace_duration,
-            warmup=spec.trace_warmup,
-            granularity=spec.granularity,
-            event_budget=spec.event_budget,
-            trace=True,
-        )
-        backend = resolve_backend(spec.backend)
+    def _traced_model(self, backend, pipeline: Pipeline,
+                      config: RunConfig) -> PipelineModel:
+        """Trace + analyze with an explicit backend and run config (the
+        optimize driver's path, so a per-call spec override governs
+        trace acquisition too, not just pass selection)."""
         return self.analyze(backend.trace(pipeline, self.machine, config))
 
     # ------------------------------------------------------------------
@@ -174,6 +183,18 @@ class Plumber:
         through the rewriter and the pipeline is re-traced before the
         next pass runs. The call-level arguments override the
         corresponding spec fields for this call only.
+
+        The planning traces come from the ``"analytic"`` backend, under
+        the spec's trace window and granularity, so the plans are those
+        of ``spec.replace(backend="analytic")``. The spec's backend
+        traces only the input (``baseline_throughput``) and the final
+        program (``model``); when no pass acted they are one trace. If
+        it measures the final program slower than the input, the input
+        is returned instead and a ``certify: reverted`` decision logged.
+        With the analytic backend as the spec's backend, the last
+        planning trace is the certifying one and nothing is reverted.
+        If the analytic trace of the input is degenerate (non-finite or
+        zero throughput), the spec's backend plans as well.
         """
         effective = (spec if spec is not None else self.spec).with_overrides(
             passes=passes,
@@ -187,17 +208,28 @@ class Plumber:
                 if effective.memory_bytes is not None
                 else self.machine.memory_bytes
             )
+        config = _run_config(effective)
 
-        current = strip_caches(pipeline)
+        original = strip_caches(pipeline)
+        certifier = resolve_backend(effective.backend)
+        baseline = self._traced_model(certifier, original, config)
+        planner = resolve_backend("analytic")
+        same_backend = planner is certifier
+        model = baseline
+        if not same_backend:
+            model = self._traced_model(planner, original, config)
+            throughput = model.observed_throughput
+            if not (math.isfinite(throughput) and throughput > 0):
+                planner, model = certifier, baseline
+
+        current = original
         decisions: List[str] = []
-        model = self._model_for_spec(current, effective)
         ctx = PassContext(
             machine=self.machine,
             memory=memory,
             spec=effective,
             model=model,
         )
-        baseline_throughput = model.observed_throughput
 
         telemetry: List[dict] = []
         clock = self.monotonic
@@ -221,7 +253,7 @@ class Plumber:
                     # nothing changed is observably identical and much
                     # cheaper.) The re-trace wallclock is charged to the
                     # acting pass: its plan forced the measurement.
-                    ctx.model = self._model_for_spec(current, effective)
+                    ctx.model = self._traced_model(planner, current, config)
                 seconds = clock() - start
                 after = ctx.model.observed_throughput
                 # A pass "predicted" only if its plan produced a fresh
@@ -259,18 +291,51 @@ class Plumber:
                     "Rewrite actions emitted, by optimizer pass",
                 ).labels(**{"pass": pass_name}).inc(len(actions))
 
-        model = ctx.model
-        predicted = ctx.lp.predicted_throughput if ctx.lp else math.nan
+        planned = ctx.model
+        if planner is certifier:
+            certified = planned
+        elif current is original:
+            certified = baseline
+        else:
+            certified = self._traced_model(certifier, current, config)
+        certification = {
+            "planner": planner.name,
+            "certifier": certifier.name,
+            "baseline": baseline.observed_throughput,
+            "planned": planned.observed_throughput,
+            "certified": certified.observed_throughput,
+            "verdict": "accepted",
+            "bottleneck_agrees": (
+                planned is certified
+                or _bottlenecks_agree(planned, certified)
+            ),
+        }
+        if same_backend:
+            certification["verdict"] = "same-backend"
+        elif certified.observed_throughput < baseline.observed_throughput:
+            # Certification never makes a job slower: keep the input.
+            certification["verdict"] = "reverted"
+            decisions.append(
+                f"certify: reverted ({certifier.name} measured "
+                f"{certified.observed_throughput:.2f} < baseline "
+                f"{baseline.observed_throughput:.2f}; {planner.name} "
+                f"planned {planned.observed_throughput:.2f})"
+            )
+            current, certified = original, baseline
+            ctx.cache, ctx.caches = None, []
         return OptimizationResult(
             pipeline=current,
-            model=model,
+            model=certified,
             lp=ctx.lp,
             cache=ctx.cache,
             decisions=decisions,
-            predicted_throughput=predicted,
-            baseline_throughput=baseline_throughput,
+            predicted_throughput=(
+                ctx.lp.predicted_throughput if ctx.lp else math.nan
+            ),
+            baseline_throughput=baseline.observed_throughput,
             caches=list(ctx.caches),
             pass_telemetry=telemetry,
+            certification=certification,
         )
 
     # ------------------------------------------------------------------
@@ -302,6 +367,16 @@ class Plumber:
         best = max(scores.values())
         winner = min(name for name, score in scores.items() if score == best)
         return PickBestResult(winner=winner, results=results, scores=scores)
+
+
+def _bottlenecks_agree(a: PipelineModel,
+                       b: PipelineModel) -> Optional[bool]:
+    """Whether the LP blames the same node under both models (None when
+    either LP fails)."""
+    try:
+        return solve_allocation(a).bottleneck == solve_allocation(b).bottleneck
+    except LPError:
+        return None
 
 
 @dataclass

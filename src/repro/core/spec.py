@@ -33,8 +33,10 @@ DEFAULT_PASSES = ("parallelism", "prefetch", "cache")
 #: mapping it wraps). It is part of :meth:`OptimizeSpec.cache_token`, so
 #: bumping it invalidates every existing cache key at once — a disk
 #: store populated by an older schema can never serve an entry whose
-#: layout this code no longer understands.
-STORE_SCHEMA_VERSION = 2
+#: layout this code no longer understands. Version 3: passes plan
+#: against the analytic model, so a simulate spec's decisions and
+#: predicted throughput for the same token differ from version 2's.
+STORE_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,11 @@ class OptimizeSpec:
         performance").
     backend:
         Trace acquisition backend: a registered name (``"simulate"``,
-        ``"analytic"``, ``"adaptive"``) or a backend object. The service
-        requires a name for the same serialization reason as passes.
+        ``"analytic"``) or a backend object. Passes always plan against
+        the analytic model; this backend measures the input and certifies
+        the final program (with ``"analytic"`` the planning traces are
+        the certificate). The service requires a name for the same
+        serialization reason as passes.
     granularity / event_budget:
         Chunk size per source request, or (when unset) the event budget
         the granularity auto-tuner targets.

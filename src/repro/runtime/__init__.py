@@ -21,12 +21,7 @@ from repro.runtime.stats import NodeStats, StatsBoard
 
 # Backends import core.trace (which imports the executor above), so they
 # must come after the executor to keep package initialization acyclic.
-from repro.runtime.adaptive import AdaptiveBackend, AdaptiveDecision
-from repro.runtime.analytic import (
-    EquilibriumDiagnostics,
-    analytic_trace,
-    equilibrium_diagnostics,
-)
+from repro.runtime.analytic import analytic_trace
 from repro.runtime.backends import (
     AnalyticBackend,
     SimulateBackend,
@@ -37,10 +32,7 @@ from repro.runtime.backends import (
 )
 
 __all__ = [
-    "AdaptiveBackend",
-    "AdaptiveDecision",
     "AnalyticBackend",
-    "EquilibriumDiagnostics",
     "BenchmarkConsumer",
     "DEFAULT_EVENT_BUDGET",
     "ModelConsumer",
@@ -54,7 +46,6 @@ __all__ = [
     "analytic_trace",
     "auto_granularity",
     "available_backends",
-    "equilibrium_diagnostics",
     "register_backend",
     "resolve_backend",
     "run_pipeline",

@@ -40,7 +40,7 @@ this is what makes µs-cost NLP jobs and whole-fleet optimization cheap
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -301,55 +301,15 @@ def _equilibrium_rate(
 
 
 @dataclass(frozen=True)
-class EquilibriumDiagnostics:
-    """How decisive the analytic steady-state model is for one run.
-
-    ``margin`` is the relative headroom between the binding cap and the
-    runner-up (``runner_up/binding - 1``): a large margin means the
-    bottleneck identification is structurally unambiguous, a margin near
-    zero means two constraints are nearly tied and a discrete-event
-    simulation may attribute the bottleneck differently. The adaptive
-    backend (:mod:`repro.runtime.adaptive`) uses this as its confidence
-    signal.
-    """
-
-    rate: float                  # equilibrium root throughput
-    binding: str                 # label of the binding cap
-    runner_up: str               # label of the second-smallest cap
-    margin: float                # runner_up/binding - 1 (inf if only one)
-    caps: Dict[str, float]       # every labelled cap
-    #: per merge node, the relative headroom between its slowest and
-    #: second-slowest branch delivery caps (in root units). A thin
-    #: branch margin means a small modelling error flips *which branch*
-    #: throttles the merge — the multi-source analogue of ``margin``;
-    #: chain pipelines have no merges and an empty mapping.
-    branch_margins: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def min_branch_margin(self) -> float:
-        """Smallest branch margin across merges (``inf`` when none)."""
-        return min(self.branch_margins.values(), default=math.inf)
-
-
-@dataclass(frozen=True)
 class _Prepared:
     """Shared setup for one analytic run: validated pipeline, resolved
-    granularity, node models, and regime facts. Built once per run and
-    reused by the trace synthesis and the diagnostics, so callers that
-    need both (the adaptive backend) pay for the model build — and the
-    granularity auto-tune it includes — exactly once."""
+    granularity, node models, and regime facts."""
 
     config: RunConfig
     models: List[_NodeModel]
     granularity: int
     consumer_step: float
     epochs: float
-    has_cache: bool
-
-    @property
-    def serving(self) -> bool:
-        """Steady-state regime: serve-side iff a cache repeats."""
-        return self.has_cache and self.epochs > 1
 
 
 def _prepare(
@@ -378,99 +338,7 @@ def _prepare(
         granularity=granularity,
         consumer_step=config.consumer.step_seconds_per_element,
         epochs=epochs,
-        has_cache=any(isinstance(m.node, CacheNode) for m in models),
     )
-
-
-def _branch_margins(
-    models: List[_NodeModel], caps: Dict[str, float]
-) -> Dict[str, float]:
-    """Per-merge headroom between the slowest two branch delivery caps.
-
-    Stage caps are already in root units, so a branch's delivery
-    capability through the merge is the min stage cap over its subtree;
-    the merge's effective constraint is the slowest branch. When two
-    branches are nearly tied, which one throttles the merge is within
-    modelling error — the adaptive backend treats a thin branch margin
-    like a thin global margin and lets the simulator arbitrate.
-    """
-
-    def subtree_caps(node: DatasetNode) -> List[float]:
-        vals = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            cap = caps.get(f"stage:{n.name}")
-            if cap is not None:
-                vals.append(cap)
-            stack.extend(n.inputs)
-        return vals
-
-    margins: Dict[str, float] = {}
-    for m in models:
-        if not m.node.merges:
-            continue
-        branch_caps = sorted(
-            min(subtree_caps(child), default=math.inf)
-            for child in m.node.inputs
-        )
-        slowest = branch_caps[0]
-        if (
-            len(branch_caps) > 1
-            and slowest > 0
-            and math.isfinite(slowest)
-            and math.isfinite(branch_caps[1])
-        ):
-            margins[m.node.name] = branch_caps[1] / slowest - 1.0
-        else:
-            margins[m.node.name] = math.inf
-    return margins
-
-
-def _diagnostics_from(prepared: _Prepared,
-                      machine: Machine) -> EquilibriumDiagnostics:
-    caps = _equilibrium_caps(
-        prepared.models, machine, prepared.consumer_step, prepared.serving
-    )
-    branch_margins = _branch_margins(prepared.models, caps)
-    if not caps:
-        return EquilibriumDiagnostics(
-            rate=math.inf, binding="unbounded", runner_up="unbounded",
-            margin=math.inf, caps={}, branch_margins=branch_margins,
-        )
-    ordered = sorted(caps.items(), key=lambda kv: kv[1])
-    binding, rate = ordered[0]
-    if len(ordered) > 1 and rate > 0:
-        runner_up, second = ordered[1]
-        margin = second / rate - 1.0
-    else:
-        runner_up, margin = binding, math.inf
-    return EquilibriumDiagnostics(
-        rate=min(rate, _RATE_CLAMP),
-        binding=binding,
-        runner_up=runner_up,
-        margin=margin,
-        caps=caps,
-        branch_margins=branch_margins,
-    )
-
-
-def equilibrium_diagnostics(
-    pipeline: Pipeline,
-    machine: Machine,
-    config: Optional[RunConfig] = None,
-    **config_overrides,
-) -> EquilibriumDiagnostics:
-    """Closed-form bottleneck attribution + confidence for one run.
-
-    Uses the same node models and regime selection as
-    :func:`analytic_trace` (the serve regime when a cache repeats past
-    its populate epoch, the whole-chain regime otherwise), so the
-    diagnostics describe exactly the trace the analytic backend would
-    emit.
-    """
-    prepared = _prepare(pipeline, machine, config, config_overrides)
-    return _diagnostics_from(prepared, machine)
 
 
 def _fill_latency(models: List[_NodeModel], granularity: int) -> float:
@@ -527,25 +395,6 @@ def analytic_trace(
     return _trace_from(
         _prepare(pipeline, machine, config, config_overrides),
         pipeline, machine,
-    )
-
-
-def analytic_trace_with_diagnostics(
-    pipeline: Pipeline,
-    machine: Machine,
-    config: Optional[RunConfig] = None,
-    **config_overrides,
-) -> tuple:
-    """One analytic run's trace *and* its equilibrium diagnostics.
-
-    The shared setup (validation, granularity auto-tune, node models)
-    runs once — this is the entry point for callers that need both,
-    like the adaptive backend's accept-or-simulate decision.
-    """
-    prepared = _prepare(pipeline, machine, config, config_overrides)
-    return (
-        _trace_from(prepared, pipeline, machine),
-        _diagnostics_from(prepared, machine),
     )
 
 

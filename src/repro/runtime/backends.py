@@ -13,12 +13,9 @@ quality/latency tradeoff the caller picks per job:
 * ``"analytic"`` — the closed-form steady-state model
   (:func:`repro.runtime.analytic.analytic_trace`). O(nodes) per trace
   regardless of element rate; exact for steady-state rate accounting,
-  approximate for queueing transients.
-* ``"adaptive"`` — a *policy* backend
-  (:class:`repro.runtime.adaptive.AdaptiveBackend`): analytic first,
-  discrete-event simulation when the analytic bottleneck attribution is
-  ambiguous or degenerate. Each emitted trace records which underlying
-  backend produced it.
+  approximate for queueing transients. The optimizer always plans
+  against it; a spec's backend measures the input and certifies the
+  final program (:meth:`repro.core.plumber.Plumber.optimize`).
 
 ``resolve_backend`` accepts a name or any object implementing the
 :class:`TraceBackend` protocol, and :func:`register_backend` adds new
@@ -38,7 +35,6 @@ import time
 from repro.graph.datasets import Pipeline
 from repro.host.machine import Machine
 from repro.obs import global_registry
-from repro.runtime.adaptive import AdaptiveBackend
 from repro.runtime.analytic import analytic_trace
 from repro.runtime.executor import RunConfig, run_pipeline
 
@@ -107,7 +103,6 @@ class AnalyticBackend:
 _BACKENDS: Dict[str, TraceBackend] = {
     "simulate": SimulateBackend(),
     "analytic": AnalyticBackend(),
-    "adaptive": AdaptiveBackend(),
 }
 
 #: the spec types ``resolve_backend`` accepts

@@ -308,8 +308,7 @@ def _optimize_serialized(payload: dict) -> dict:
         "baseline_throughput": result.baseline_throughput,
         "optimized_throughput": result.model.observed_throughput,
         "bottleneck": result.bottleneck,
-        # Which backend actually produced the final trace — for adaptive
-        # specs this records the routing outcome, e.g. "adaptive[analytic]".
+        # Which backend produced the final (certifying) trace.
         "producer": getattr(result.model.trace, "backend", spec.backend_name),
     }
 

@@ -52,8 +52,8 @@ off the 503 to re-home traffic with zero dropped work.
 
 **Admission control** bounds in-flight work *per lane*: jobs whose spec
 names the ``analytic`` backend are microseconds of work and get a wide
-lane; everything else (``simulate``, ``adaptive``, custom backends) may
-pay for discrete-event simulation and is bounded separately — one
+lane; everything else (``simulate``, custom backends) pays for two
+certifying traces and is bounded separately — one
 µs-budget NLP fleet can't be starved behind a queue of simulate-backend
 vision jobs, and simulate jobs can't monopolize the host (the
 heterogeneous-fleet fairness item from ROADMAP).
@@ -88,14 +88,21 @@ from repro.service.batch import (
     OptimizationJob,
 )
 
-#: admission lanes: closed-form analytic jobs vs anything that may
-#: run the discrete-event simulator (simulate, adaptive, custom)
+#: admission lanes: closed-form analytic jobs vs anything that runs
+#: the discrete-event simulator or a custom backend (simulate, custom)
 ANALYTIC_LANE = "analytic"
 SIMULATE_LANE = "simulate"
 
 
 def job_lane(spec: OptimizeSpec) -> str:
-    """Which admission lane a job's effective spec belongs to."""
+    """Which admission lane a job's effective spec belongs to.
+
+    Every optimization plans against the analytic model, so a job's cost
+    is set by its spec backend, which traces the input and the final
+    program: ``"analytic"`` specs are microseconds and take the analytic
+    lane; any other backend (the simulator, a custom one) may cost
+    seconds and takes the simulate lane.
+    """
     return (
         ANALYTIC_LANE if spec.backend_name == "analytic" else SIMULATE_LANE
     )

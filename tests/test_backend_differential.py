@@ -1,11 +1,14 @@
-"""Differential testing across the three trace backends.
+"""Differential testing across the two trace backends.
 
 Thirty seeded random pipeline graphs — varying depth, UDF costs, source
 parallelism, shuffle/batch shapes, and cache/prefetch placement — are
-traced with ``simulate``, ``analytic``, and ``adaptive``. For every
-graph, all three backends must agree on the LP's bottleneck identity,
-and the non-simulate backends must land root throughput and the LP's
-predicted throughput within tolerance of the simulator.
+traced with ``simulate`` and ``analytic``. For every graph, both
+backends must agree on the LP's bottleneck identity, and the analytic
+backend must land root throughput and the LP's predicted throughput
+within tolerance of the simulator. Because the optimizer plans against
+the analytic model and only certifies with the simulator, every graph
+must also optimize to the same program under the default spec as under
+``backend="analytic"``.
 
 On failure, the offending graph's serialized program is dumped under
 ``$REPRO_DIFF_DUMP_DIR`` (default ``diff_failures/``) and the assertion
@@ -32,7 +35,7 @@ from repro.graph.builder import (
     interleave_datasets,
     zip_datasets,
 )
-from repro.graph.serialize import pipeline_to_dict
+from repro.graph.serialize import pipeline_to_dict, pipeline_to_json
 from repro.graph.udf import CostModel, UserFunction
 from repro.host.machine import setup_a
 from repro.io.filesystem import FileCatalog
@@ -44,13 +47,13 @@ NUM_CASES = 30
 NUM_MULTISOURCE_CASES = 12
 #: number of cache-heavy (populate-then-serve) graphs (seeds 0..N-1)
 NUM_CACHE_HEAVY_CASES = 8
-#: relative tolerance for analytic/adaptive vs simulated throughput —
+#: relative tolerance for analytic vs simulated throughput —
 #: matches the seed-workload parity bar in test_trace_backends.py
 THROUGHPUT_TOLERANCE = 0.15
 #: where failing graphs' serialized programs are dumped
 DUMP_DIR = os.environ.get("REPRO_DIFF_DUMP_DIR", "diff_failures")
 
-BACKENDS = ("simulate", "analytic", "adaptive")
+BACKENDS = ("simulate", "analytic")
 
 
 def random_pipeline(seed: int):
@@ -211,6 +214,25 @@ def _solved_traces(pipeline, machine, duration=3.0, warmup=0.5):
     return out
 
 
+def _assert_plans_like_analytic(seed, pipeline, machine, prefix):
+    """The default spec (analytic planning, simulate certification)
+    rewrites ``pipeline`` to the program ``backend="analytic"`` does."""
+    default = Plumber(machine).optimize(pipeline)
+    analytic = Plumber(
+        machine, spec=OptimizeSpec(backend="analytic")
+    ).optimize(pipeline)
+    verdict = default.certification["verdict"]
+    assert verdict == "accepted", _dump_failure(
+        seed, pipeline, f"certification verdict {verdict!r}", prefix=prefix,
+    )
+    assert pipeline_to_json(default.pipeline) == pipeline_to_json(
+        analytic.pipeline
+    ), _dump_failure(
+        seed, pipeline, "default-spec program differs from the analytic "
+        "spec's", prefix=prefix,
+    )
+
+
 class TestBackendDifferential:
     @pytest.fixture(scope="class", params=range(NUM_CASES))
     def case(self, request, machine):
@@ -220,58 +242,58 @@ class TestBackendDifferential:
     def test_bottleneck_identity_agrees(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][1].bottleneck
-        for name in ("analytic", "adaptive"):
-            got = solved[name][1].bottleneck
-            assert got == reference, _dump_failure(
-                seed, pipeline,
-                f"bottleneck mismatch: simulate={reference!r} "
-                f"{name}={got!r}",
-            )
+        got = solved["analytic"][1].bottleneck
+        assert got == reference, _dump_failure(
+            seed, pipeline,
+            f"bottleneck mismatch: simulate={reference!r} "
+            f"analytic={got!r}",
+        )
+
+    def test_default_spec_plans_like_analytic(self, case, machine):
+        seed, pipeline, _solved = case
+        _assert_plans_like_analytic(seed, pipeline, machine, "case")
 
     def test_root_throughput_within_tolerance(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][0].root_throughput
-        for name in ("analytic", "adaptive"):
-            got = solved[name][0].root_throughput
-            rel = abs(got - reference) / reference
-            assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
-                seed, pipeline,
-                f"root throughput diverges: simulate={reference:.3f} "
-                f"{name}={got:.3f} rel={rel:.1%} "
-                f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
-            )
+        got = solved["analytic"][0].root_throughput
+        rel = abs(got - reference) / reference
+        assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+            seed, pipeline,
+            f"root throughput diverges: simulate={reference:.3f} "
+            f"analytic={got:.3f} rel={rel:.1%} "
+            f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+        )
 
     def test_lp_prediction_within_tolerance(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][1].predicted_throughput
-        for name in ("analytic", "adaptive"):
-            got = solved[name][1].predicted_throughput
-            if not math.isfinite(reference):
-                # Unconstrained graphs (e.g. fully cache-served) predict
-                # inf; the other backends must agree exactly.
-                assert got == reference, _dump_failure(
-                    seed, pipeline,
-                    f"LP prediction diverges: simulate={reference} "
-                    f"{name}={got}",
-                )
-                continue
-            rel = abs(got - reference) / reference
-            assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+        got = solved["analytic"][1].predicted_throughput
+        if not math.isfinite(reference):
+            # Unconstrained graphs (e.g. fully cache-served) predict
+            # inf; the analytic backend must agree exactly.
+            assert got == reference, _dump_failure(
                 seed, pipeline,
-                f"LP prediction diverges: simulate={reference:.3f} "
-                f"{name}={got:.3f} rel={rel:.1%} "
-                f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+                f"LP prediction diverges: simulate={reference} "
+                f"analytic={got}",
             )
+            return
+        rel = abs(got - reference) / reference
+        assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+            seed, pipeline,
+            f"LP prediction diverges: simulate={reference:.3f} "
+            f"analytic={got:.3f} rel={rel:.1%} "
+            f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+        )
 
     def test_traces_are_labelled_by_producer(self, case):
         _seed, _pipeline, solved = case
         assert solved["simulate"][0].backend == "simulate"
         assert solved["analytic"][0].backend == "analytic"
-        assert solved["adaptive"][0].backend.startswith("adaptive[")
 
 
 class TestMultiSourceDifferential:
-    """The same three-backend parity bar, over multi-source DAGs."""
+    """The same two-backend parity bar, over multi-source DAGs."""
 
     @pytest.fixture(scope="class", params=range(NUM_MULTISOURCE_CASES))
     def case(self, request, machine):
@@ -281,70 +303,70 @@ class TestMultiSourceDifferential:
     def test_bottleneck_identity_agrees(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][1].bottleneck
-        for name in ("analytic", "adaptive"):
-            got = solved[name][1].bottleneck
-            assert got == reference, _dump_failure(
-                seed, pipeline,
-                f"bottleneck mismatch: simulate={reference!r} "
-                f"{name}={got!r}",
-                prefix="multisource",
-            )
+        got = solved["analytic"][1].bottleneck
+        assert got == reference, _dump_failure(
+            seed, pipeline,
+            f"bottleneck mismatch: simulate={reference!r} "
+            f"analytic={got!r}",
+            prefix="multisource",
+        )
+
+    def test_default_spec_plans_like_analytic(self, case, machine):
+        seed, pipeline, _solved = case
+        _assert_plans_like_analytic(seed, pipeline, machine, "multisource")
 
     def test_root_throughput_within_tolerance(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][0].root_throughput
-        for name in ("analytic", "adaptive"):
-            got = solved[name][0].root_throughput
-            rel = abs(got - reference) / reference
-            assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
-                seed, pipeline,
-                f"root throughput diverges: simulate={reference:.3f} "
-                f"{name}={got:.3f} rel={rel:.1%} "
-                f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
-                prefix="multisource",
-            )
+        got = solved["analytic"][0].root_throughput
+        rel = abs(got - reference) / reference
+        assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+            seed, pipeline,
+            f"root throughput diverges: simulate={reference:.3f} "
+            f"analytic={got:.3f} rel={rel:.1%} "
+            f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+            prefix="multisource",
+        )
 
     def test_lp_prediction_within_tolerance(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][1].predicted_throughput
         observed = solved["simulate"][0].root_throughput
-        for name in ("analytic", "adaptive"):
-            got = solved[name][1].predicted_throughput
-            if not math.isfinite(reference):
-                assert got == reference, _dump_failure(
-                    seed, pipeline,
-                    f"LP prediction diverges: simulate={reference} "
-                    f"{name}={got}",
-                    prefix="multisource",
-                )
-                continue
-            if min(got, reference) > 1e3 * observed:
-                # Both predictions are orders of magnitude beyond
-                # anything observable: a branch cache that flips to the
-                # serve regime mid-window leaves the LP a noise-scale
-                # cache coefficient (a handful of served elements times
-                # a µs of copy cost), so the prediction's magnitude
-                # carries no decision value — bottleneck identity,
-                # asserted separately, is the meaningful comparison.
-                continue
-            rel = abs(got - reference) / reference
-            assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+        got = solved["analytic"][1].predicted_throughput
+        if not math.isfinite(reference):
+            assert got == reference, _dump_failure(
                 seed, pipeline,
-                f"LP prediction diverges: simulate={reference:.3f} "
-                f"{name}={got:.3f} rel={rel:.1%} "
-                f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+                f"LP prediction diverges: simulate={reference} "
+                f"analytic={got}",
                 prefix="multisource",
             )
+            return
+        if min(got, reference) > 1e3 * observed:
+            # Both predictions are orders of magnitude beyond
+            # anything observable: a branch cache that flips to the
+            # serve regime mid-window leaves the LP a noise-scale
+            # cache coefficient (a handful of served elements times
+            # a µs of copy cost), so the prediction's magnitude
+            # carries no decision value — bottleneck identity,
+            # asserted separately, is the meaningful comparison.
+            return
+        rel = abs(got - reference) / reference
+        assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+            seed, pipeline,
+            f"LP prediction diverges: simulate={reference:.3f} "
+            f"analytic={got:.3f} rel={rel:.1%} "
+            f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+            prefix="multisource",
+        )
 
     def test_traces_are_labelled_by_producer(self, case):
         _seed, _pipeline, solved = case
         assert solved["simulate"][0].backend == "simulate"
         assert solved["analytic"][0].backend == "analytic"
-        assert solved["adaptive"][0].backend.startswith("adaptive[")
 
 
 class TestCacheHeavyDifferential:
-    """Three-backend parity over long-serve-phase cache graphs.
+    """Two-backend parity over long-serve-phase cache graphs.
 
     The window (duration 6, warmup 1) spans several epochs of each
     graph, so the cache populates once and then serves for most of the
@@ -362,57 +384,58 @@ class TestCacheHeavyDifferential:
     def test_bottleneck_identity_agrees(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][1].bottleneck
-        for name in ("analytic", "adaptive"):
-            got = solved[name][1].bottleneck
-            assert got == reference, _dump_failure(
-                seed, pipeline,
-                f"bottleneck mismatch: simulate={reference!r} "
-                f"{name}={got!r}",
-                prefix="cacheheavy",
-            )
+        got = solved["analytic"][1].bottleneck
+        assert got == reference, _dump_failure(
+            seed, pipeline,
+            f"bottleneck mismatch: simulate={reference!r} "
+            f"analytic={got!r}",
+            prefix="cacheheavy",
+        )
+
+    def test_default_spec_plans_like_analytic(self, case, machine):
+        seed, pipeline, _solved = case
+        _assert_plans_like_analytic(seed, pipeline, machine, "cacheheavy")
 
     def test_root_throughput_within_tolerance(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][0].root_throughput
-        for name in ("analytic", "adaptive"):
-            got = solved[name][0].root_throughput
-            rel = abs(got - reference) / reference
-            assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
-                seed, pipeline,
-                f"root throughput diverges: simulate={reference:.3f} "
-                f"{name}={got:.3f} rel={rel:.1%} "
-                f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
-                prefix="cacheheavy",
-            )
+        got = solved["analytic"][0].root_throughput
+        rel = abs(got - reference) / reference
+        assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+            seed, pipeline,
+            f"root throughput diverges: simulate={reference:.3f} "
+            f"analytic={got:.3f} rel={rel:.1%} "
+            f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+            prefix="cacheheavy",
+        )
 
     def test_lp_prediction_within_tolerance(self, case):
         seed, pipeline, solved = case
         reference = solved["simulate"][1].predicted_throughput
         observed = solved["simulate"][0].root_throughput
-        for name in ("analytic", "adaptive"):
-            got = solved[name][1].predicted_throughput
-            if not math.isfinite(reference):
-                # A fully cache-served window is unconstrained: every
-                # backend must agree it predicts inf.
-                assert got == reference, _dump_failure(
-                    seed, pipeline,
-                    f"LP prediction diverges: simulate={reference} "
-                    f"{name}={got}",
-                    prefix="cacheheavy",
-                )
-                continue
-            if min(got, reference) > 1e3 * observed:
-                # Noise-scale cache coefficients (see the multi-source
-                # suite): magnitude carries no decision value here.
-                continue
-            rel = abs(got - reference) / reference
-            assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+        got = solved["analytic"][1].predicted_throughput
+        if not math.isfinite(reference):
+            # A fully cache-served window is unconstrained: every
+            # backend must agree it predicts inf.
+            assert got == reference, _dump_failure(
                 seed, pipeline,
-                f"LP prediction diverges: simulate={reference:.3f} "
-                f"{name}={got:.3f} rel={rel:.1%} "
-                f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+                f"LP prediction diverges: simulate={reference} "
+                f"analytic={got}",
                 prefix="cacheheavy",
             )
+            return
+        if min(got, reference) > 1e3 * observed:
+            # Noise-scale cache coefficients (see the multi-source
+            # suite): magnitude carries no decision value here.
+            return
+        rel = abs(got - reference) / reference
+        assert rel <= THROUGHPUT_TOLERANCE, _dump_failure(
+            seed, pipeline,
+            f"LP prediction diverges: simulate={reference:.3f} "
+            f"analytic={got:.3f} rel={rel:.1%} "
+            f"(tolerance {THROUGHPUT_TOLERANCE:.0%})",
+            prefix="cacheheavy",
+        )
 
     def test_serve_phase_dominates_the_window(self, case):
         """The generator holds its premise: the simulate trace's cache

@@ -266,3 +266,178 @@ class TestPassTelemetry:
             passes=("parallelism",), iterations=1,
         )
         assert cell.count == before + 1
+
+
+class CountingBackend:
+    """Wraps a registered trace backend and counts its traces."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = 0
+
+    def trace(self, pipeline, machine, config):
+        self.calls += 1
+        return self.inner.trace(pipeline, machine, config)
+
+
+@pytest.fixture
+def counted():
+    """Counting wrappers registered over ``simulate`` and ``analytic``."""
+    from repro.runtime.backends import register_backend, resolve_backend
+
+    originals = [resolve_backend(n) for n in ("simulate", "analytic")]
+    wrappers = {b.name: CountingBackend(b) for b in originals}
+    for wrapper in wrappers.values():
+        register_backend(wrapper, replace=True)
+    yield wrappers
+    for backend in originals:
+        register_backend(backend, replace=True)
+
+
+class IdlePass:
+    name = "idle"
+
+    def plan(self, ctx):
+        return []
+
+
+def acting_passes(result):
+    return sum(1 for e in result.pass_telemetry if e["actions"])
+
+
+class TestPlanAnalyticallyCertifyOnce:
+    """Passes plan against the analytic model; the spec's backend only
+    traces the input and the final program."""
+
+    def test_default_spec_simulates_twice(self, small_catalog, plumber,
+                                          counted):
+        result = plumber.optimize(two_stage_pipeline(small_catalog))
+        assert acting_passes(result) >= 2
+        assert counted["simulate"].calls == 2
+        assert counted["analytic"].calls == 1 + acting_passes(result)
+        cert = result.certification
+        assert cert["planner"] == "analytic"
+        assert cert["certifier"] == "simulate"
+        assert cert["verdict"] == "accepted"
+        assert cert["baseline"] == result.baseline_throughput
+        assert cert["certified"] == result.model.observed_throughput
+        assert cert["bottleneck_agrees"] is True
+        assert result.model.trace.backend == "simulate"
+
+    def test_no_acting_pass_simulates_once(self, small_catalog, plumber,
+                                           counted):
+        result = plumber.optimize(two_stage_pipeline(small_catalog),
+                                  passes=(IdlePass(),))
+        assert counted["simulate"].calls == 1
+        assert counted["analytic"].calls == 1
+        assert result.speedup == 1.0
+        assert result.certification["verdict"] == "accepted"
+
+    def test_analytic_spec_traces_once_per_acting_pass(
+        self, small_catalog, test_machine, counted
+    ):
+        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"))
+        result = plumber.optimize(two_stage_pipeline(small_catalog))
+        assert acting_passes(result) >= 2
+        assert counted["simulate"].calls == 0
+        assert counted["analytic"].calls == 1 + acting_passes(result)
+        cert = result.certification
+        assert cert["verdict"] == "same-backend"
+        assert cert["planned"] == cert["certified"]
+
+    def test_default_spec_plans_like_analytic_spec(self, small_catalog,
+                                                   plumber):
+        from repro.graph.serialize import pipeline_to_json
+
+        pipe = two_stage_pipeline(small_catalog)
+        analytic = plumber.optimize(
+            pipe, spec=plumber.spec.replace(backend="analytic"))
+        default = plumber.optimize(pipe)
+        assert pipeline_to_json(default.pipeline) == \
+            pipeline_to_json(analytic.pipeline)
+        assert default.decisions == analytic.decisions
+        assert [e["throughput_after"] for e in default.pass_telemetry] == \
+            [e["throughput_after"] for e in analytic.pass_telemetry]
+
+    def test_degenerate_analytic_input_plans_with_spec_backend(
+        self, small_catalog, plumber, counted, monkeypatch
+    ):
+        """A zero-throughput analytic trace of the input cannot plan:
+        the spec's backend plans (and certifies) instead."""
+        inner = counted["analytic"].inner
+
+        def degenerate(pipeline, machine, config):
+            counted["analytic"].calls += 1
+            trace = inner.trace(pipeline, machine, config)
+            trace.root_throughput = 0.0
+            return trace
+
+        monkeypatch.setattr(counted["analytic"], "trace", degenerate)
+        result = plumber.optimize(two_stage_pipeline(small_catalog),
+                                  passes=("parallelism",), iterations=1)
+        assert counted["analytic"].calls == 1
+        assert counted["simulate"].calls == 1 + acting_passes(result)
+        cert = result.certification
+        assert cert["planner"] == cert["certifier"] == "simulate"
+        assert cert["verdict"] == "accepted"
+        assert result.pipeline.node("m_heavy").parallelism > 1
+
+
+class SerializeMaps:
+    """A pessimizing pass: every map back to parallelism 1."""
+
+    name = "serialize_maps"
+
+    def plan(self, ctx):
+        from repro.core.passes import SetParallelism
+
+        plan = {n.name: 1 for n in ctx.pipeline.iter_nodes()
+                if n.kind == "map" and n.parallelism > 1}
+        if not plan:
+            return []
+        return [SetParallelism(plan=plan, description=f"serialize {plan}")]
+
+
+class TestCertificationRevert:
+    @pytest.fixture
+    def tuned(self, small_catalog):
+        from repro.core.rewriter import set_parallelism
+
+        return set_parallelism(two_stage_pipeline(small_catalog),
+                               {"m_heavy": 6, "m_cheap": 2})
+
+    @pytest.fixture(autouse=True)
+    def serialize_pass(self):
+        from repro.core.passes import register_pass, unregister_pass
+
+        register_pass(SerializeMaps())
+        yield
+        unregister_pass(SerializeMaps.name)
+
+    def test_simulate_spec_reverts_to_the_input(self, tuned, plumber):
+        from repro.graph.serialize import pipeline_to_json
+
+        result = plumber.optimize(tuned, passes=("serialize_maps",),
+                                  iterations=1)
+        assert pipeline_to_json(result.pipeline) == pipeline_to_json(tuned)
+        assert result.certification["verdict"] == "reverted"
+        # The certificate records what the simulator measured on the
+        # planned program; the result carries the input's model.
+        assert result.certification["certified"] < result.baseline_throughput
+        assert result.certification["planned"] < result.baseline_throughput
+        assert result.model.observed_throughput == result.baseline_throughput
+        assert result.speedup == 1.0
+        assert result.cache is None and result.caches == []
+        assert result.decisions[-1].startswith("certify: reverted (")
+
+    def test_analytic_spec_applies_the_pass_unchanged(self, tuned,
+                                                      test_machine):
+        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"))
+        result = plumber.optimize(tuned, passes=("serialize_maps",),
+                                  iterations=1)
+        assert result.pipeline.node("m_heavy").parallelism == 1
+        assert result.pipeline.node("m_cheap").parallelism == 1
+        assert result.certification["verdict"] == "same-backend"
+        assert result.speedup < 1.0
+        assert not any(d.startswith("certify:") for d in result.decisions)

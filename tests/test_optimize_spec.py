@@ -193,7 +193,7 @@ class TestCacheTokenProperties:
         "passes": [("parallelism",), ("parallelism", "prefetch"),
                    DEFAULT_PASSES, ("fuse",) + DEFAULT_PASSES],
         "iterations": [1, 2, 3],
-        "backend": ["simulate", "analytic", "adaptive"],
+        "backend": ["simulate", "analytic", "replay"],
         "granularity": [None, 1, 4, 16],
         "event_budget": [None, 10_000, 300_000],
         "trace_duration": [1.0, 3.0, 5.0],
@@ -248,10 +248,10 @@ class TestCacheTokenProperties:
 
     @pytest.mark.parametrize("spec, key", [
         (OptimizeSpec(),
-         "b995332c447676887409168a9d9d29a9a577dd415d61d505e077acf7cdcf8ab5"),
+         "3003e5550e19b6a2d192b9e7dfd613f868460a1bdb7932cb2520c886683d3ea3"),
         (OptimizeSpec(backend="analytic"),
-         "855959d0beee7183754168505b95edacc060c9686da4bc4f267a5c13431a66bb"),
-    ])
+         "6fb8a028f3fa1fbdda1d0592b47b6b6e0928f42f88376a7e45561f34d918701d"),
+    ], ids=("default", "analytic"))
     def test_pinned_cache_keys(self, spec, key):
         """Literal keys: a change to the token's layout or defaults would
         silently orphan every entry in existing on-disk stores."""

@@ -313,7 +313,7 @@ class TestAdmissionControl:
     def test_job_lane_classification(self):
         assert job_lane(FAST_SPEC) == "analytic"
         assert job_lane(SIM_SPEC) == "simulate"
-        assert job_lane(FAST_SPEC.replace(backend="adaptive")) == "simulate"
+        assert job_lane(FAST_SPEC.replace(backend="replay")) == "simulate"
 
     def test_controller_admits_and_releases(self):
         ctl = AdmissionController(max_simulate_jobs=2)

@@ -115,6 +115,16 @@ class TestDiskStore:
         ))
         assert store.get("k1") is None
 
+    def test_schema_v2_entry_is_a_miss(self, tmp_path):
+        """Schema 3 plans simulate specs analytically, so a v2 entry's
+        decisions and predicted throughput are stale for its key."""
+        assert STORE_SCHEMA_VERSION >= 3
+        store = DiskStore(tmp_path)
+        (tmp_path / "k1.json").write_text(json.dumps(
+            {"schema": 2, "entry": {"result": {"x": 1}}}
+        ))
+        assert store.get("k1") is None
+
     def test_non_dict_payloads_are_misses(self, tmp_path):
         store = DiskStore(tmp_path)
         (tmp_path / "k1.json").write_text(json.dumps([1, 2, 3]))
