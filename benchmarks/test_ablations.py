@@ -35,25 +35,21 @@ def run_pass_ablation():
             consumer=consumer,
         ).examples_per_second
 
+    spec = OptimizeSpec(trace_duration=1.5, trace_warmup=0.4)
     results = {"naive": measure(base)}
     for passes in (
         ("parallelism",),
         ("parallelism", "prefetch"),
         ("parallelism", "prefetch", "cache"),
     ):
-        plumber = Plumber(machine,
-                          spec=OptimizeSpec(trace_duration=1.5,
-                                            trace_warmup=0.4))
-        tuned = plumber.optimize(base, passes=passes).pipeline
+        plumber = Plumber(machine, spec=spec.replace(passes=passes))
+        tuned = plumber.optimize(base).pipeline
         results["+".join(p[:5] for p in passes)] = measure(tuned)
 
     # One iteration vs two (the paper defaults to 2 "so that estimated
     # rates more closely reflect the final pipeline").
-    plumber = Plumber(machine,
-                      spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
-    results["full@1iter"] = measure(
-        plumber.optimize(base, iterations=1).pipeline
-    )
+    plumber = Plumber(machine, spec=spec.replace(iterations=1))
+    results["full@1iter"] = measure(plumber.optimize(base).pipeline)
     return results
 
 

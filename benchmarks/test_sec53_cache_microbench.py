@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import format_table
-from repro.core.cache_planner import plan_cache_greedy
+from repro.core.cache_planner import plan_caches
 from repro.core.plumber import Plumber
 from repro.core.rewriter import set_parallelism
 from repro.core.spec import OptimizeSpec
@@ -139,8 +139,9 @@ def test_sec53_rcnn_disk_level_only(once):
     model = once(_model, build_rcnn, setup_c())
     cacheable = {r.name for r in model.cache_candidates()}
     assert cacheable <= {"interleave_tfrecord", "map_parse"}
-    decision = plan_cache_greedy(model)
-    assert decision is not None
+    caches = plan_caches(model)
+    assert caches
+    decision = caches[0]
     assert decision.target in ("interleave_tfrecord", "map_parse")
     assert decision.materialized_bytes == pytest.approx(20e9, rel=0.1)
 
@@ -155,5 +156,5 @@ def test_sec53_ssd_post_filter_cache(once):
     assert filt.materialized_bytes == pytest.approx(97e9, rel=0.1)
     reduction = 1 - filt.materialized_bytes / resize.materialized_bytes
     assert 0 < reduction < 0.01
-    decision = plan_cache_greedy(model)
+    decision = plan_caches(model)[0]
     assert decision.target == "filter_boxes"

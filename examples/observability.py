@@ -46,8 +46,9 @@ def pass_telemetry_tour():
         config=FleetConfig(domain_weights={"vision": 1.0},
                            optimize_spec=SPEC),
     )
-    plumber = Plumber(setup_a(), spec=OptimizeSpec(backend="analytic"))
-    result = plumber.optimize(fleet[0].pipeline, iterations=1)
+    plumber = Plumber(setup_a(),
+                      spec=OptimizeSpec(iterations=1, backend="analytic"))
+    result = plumber.optimize(fleet[0].pipeline)
     header = (f"  {'pass':<12} {'ms':>7} {'actions':>7} "
               f"{'predicted':>10} {'realized':>9}")
     print(header)

@@ -7,11 +7,7 @@ from repro.core.bottleneck import (
     rank_bottlenecks,
     throughput_estimates,
 )
-from repro.core.cache_planner import (
-    CacheDecision,
-    plan_cache_exhaustive,
-    plan_cache_greedy,
-)
+from repro.core.cache_planner import CacheDecision, plan_caches
 from repro.core.disk_planner import (
     DiskCurve,
     benchmark_source_curve,
@@ -104,8 +100,7 @@ __all__ = [
     "node_is_random",
     "optimize",
     "optimize_pipeline",
-    "plan_cache_exhaustive",
-    "plan_cache_greedy",
+    "plan_caches",
     "plan_prefetch",
     "rank_bottlenecks",
     "remove_node",

@@ -5,15 +5,12 @@ total work by placing it as high in the pipeline as possible" subject to
 the materialized size fitting in host memory and the stream being
 deterministic and finite.
 
-Two solvers:
-
-* :func:`plan_cache_greedy` — the paper's default for linear pipelines:
-  pick the cacheable node closest to the root whose materialized size
-  fits (greedy, and optimal for linear topologies).
-* :func:`plan_cache_exhaustive` — the Boolean-decision variant sketched
-  for general topologies: score every candidate by the LP throughput of
-  the cached pipeline and return the best (with one candidate per linear
-  segment this is the exact optimum).
+One planner, :func:`plan_caches`: greedy closest-to-root placement. On a
+chain it returns the single cacheable node closest to the root whose
+materialized size fits (optimal for linear topologies: a higher cache
+frees a superset of the work). On a multi-source DAG whose merged stream
+is uncacheable, each branch may get its own cache from the shared
+memory budget. Its first decision is always the closest-to-root cache.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.lp import solve_allocation
-from repro.core.rates import NodeRates, PipelineModel
+from repro.core.rates import PipelineModel
 from repro.host.memory import MemoryBudget
 
 
@@ -34,7 +30,6 @@ class CacheDecision:
     target: str               # cache inserted directly above this node
     materialized_bytes: float
     storage: str = "memory"
-    expected_speedup_hint: Optional[float] = None
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -43,43 +38,20 @@ class CacheDecision:
         )
 
 
-def plan_cache_greedy(
-    model: PipelineModel,
-    memory: Optional[MemoryBudget] = None,
-) -> Optional[CacheDecision]:
-    """Greedy closest-to-root cache that fits in memory.
-
-    Returns ``None`` when no cacheable node fits (e.g. everything
-    downstream of a random augmentation, or the materialized sizes all
-    exceed RAM).
-    """
-    if memory is None:
-        memory = MemoryBudget(model.trace.host.memory_bytes)
-    for rates in model.cache_candidates():
-        if not math.isfinite(rates.materialized_bytes):
-            continue
-        if memory.fits(rates.materialized_bytes):
-            return CacheDecision(
-                target=rates.name,
-                materialized_bytes=rates.materialized_bytes,
-            )
-    return None
-
-
-def plan_cache_per_branch(
+def plan_caches(
     model: PipelineModel,
     memory: Optional[MemoryBudget] = None,
 ) -> List[CacheDecision]:
     """Greedy closest-to-root caching, one cache per disjoint subtree.
 
-    On a chain this returns exactly :func:`plan_cache_greedy`'s single
-    decision. On a multi-source DAG, when the merged stream (or anything
-    above it) is uncacheable — randomness taint, infinite cardinality,
-    or materialized size over budget — each branch can still cache
-    independently: candidates are scanned closest-to-root first, and
+    Returns ``[]`` when no cacheable node fits (e.g. everything
+    downstream of a random augmentation, or the materialized sizes all
+    exceed RAM). Candidates are scanned closest-to-root first, and
     accepting one marks its whole subtree as covered, so the scan only
-    ever adds caches in *other* branches. All decisions draw on the one
-    shared memory budget.
+    ever adds caches in *other* branches — randomness taint, infinite
+    cardinality, or an over-budget size above a merge still lets each
+    branch cache on its own. All decisions draw on the one shared memory
+    budget (``None`` = the traced host's memory).
     """
     if memory is None:
         memory = MemoryBudget(model.trace.host.memory_bytes)
@@ -102,72 +74,11 @@ def plan_cache_per_branch(
             )
         )
         reserved += rates.materialized_bytes
-        covered |= _subtree_names(model, rates.name)
+        covered |= subtree_names(model, rates.name)
     return decisions
 
 
-def plan_cache_exhaustive(
-    model: PipelineModel,
-    memory: Optional[MemoryBudget] = None,
-) -> Optional[CacheDecision]:
-    """Score every feasible candidate by post-cache LP throughput.
-
-    Caching at node ``i`` zeroes the steady-state cost of ``i`` and
-    everything below it; we re-solve the LP with those nodes' rates
-    removed and the disk constraint waived, then pick the candidate with
-    the highest predicted throughput. This implements the "Boolean
-    decision variables for each cache candidate over the LP" extension
-    by enumeration (exact for the tree sizes input pipelines have).
-    """
-    if memory is None:
-        memory = MemoryBudget(model.trace.host.memory_bytes)
-    feasible: List[NodeRates] = [
-        r for r in model.cache_candidates()
-        if math.isfinite(r.materialized_bytes)
-        and memory.fits(r.materialized_bytes)
-    ]
-    if not feasible:
-        return None
-
-    best: Optional[CacheDecision] = None
-    best_rate = -math.inf
-    for rates in feasible:
-        predicted = _cached_lp_throughput(model, rates.name)
-        if predicted > best_rate + 1e-9:
-            best_rate = predicted
-            best = CacheDecision(
-                target=rates.name,
-                materialized_bytes=rates.materialized_bytes,
-                expected_speedup_hint=(
-                    predicted / model.observed_throughput
-                    if model.observed_throughput > 0
-                    else None
-                ),
-            )
-    return best
-
-
-def _cached_lp_throughput(model: PipelineModel, cache_target: str) -> float:
-    """LP throughput with ``cache_target`` and its subtree cost-free."""
-    below = _subtree_names(model, cache_target)
-    survivors = [r for r in model.cpu_nodes() if r.name not in below]
-    if not survivors:
-        return math.inf
-    # Serve-side rate of the slowest surviving node under a full-core
-    # allocation mirrors the LP with the cached nodes dropped; reuse the
-    # solver by building a filtered view.
-    import copy
-
-    filtered = copy.copy(model)
-    filtered.rates = {
-        name: r for name, r in model.rates.items() if name not in below
-    }
-    filtered.bytes_per_minibatch = 0.0  # cache removes all I/O
-    solution = solve_allocation(filtered)
-    return solution.predicted_throughput
-
-
-def _subtree_names(model: PipelineModel, target: str) -> set:
+def subtree_names(model: PipelineModel, target: str) -> set:
     """``target`` plus every node below it."""
     node = model.pipeline.node(target)
     names = set()

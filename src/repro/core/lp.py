@@ -44,18 +44,13 @@ class LPSolution:
     cores: float
     status: str = "optimal"
 
-    def parallelism_plan(
-        self,
-        model: PipelineModel,
-        allocate_remaining: bool = True,
-    ) -> Dict[str, int]:
+    def parallelism_plan(self, model: PipelineModel) -> Dict[str, int]:
         """Integer parallelism assignment from the fractional optimum.
 
-        Non-bottleneck tunables get ``ceil(θ_i)`` (at least 1); when
-        ``allocate_remaining`` is set, leftover cores are pushed onto the
-        bottleneck node — the behaviour §5.4 describes ("Plumber
-        allocates 95 parallelism to the former, leaving only 1 for the
-        remaining MapDataset").
+        Non-bottleneck tunables get ``ceil(θ_i)`` (at least 1), and
+        leftover cores are pushed onto the bottleneck node — the
+        behaviour §5.4 describes ("Plumber allocates 95 parallelism to
+        the former, leaving only 1 for the remaining MapDataset").
         """
         tunables = {n.name: n for n in model.pipeline.tunables()}
         plan: Dict[str, int] = {}
@@ -66,7 +61,7 @@ class LPSolution:
         for name, streams in self.io_streams.items():
             if name in tunables:
                 plan[name] = max(plan.get(name, 1), max(1, math.ceil(streams - 1e-9)))
-        if allocate_remaining and self.bottleneck in plan:
+        if self.bottleneck in plan:
             used = sum(plan.values())
             # Sequential/non-tunable CPU nodes (shuffle, filter, ...) hold
             # cores too (θ ≤ 1 each); ignoring them could grant the

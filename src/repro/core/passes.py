@@ -11,10 +11,8 @@ never mutates a pipeline itself — it only *plans*, always against the
 closed-form model. The spec's trace backend certifies the final program
 once the passes are done.
 
-Passes are looked up by name through a module-level registry, which is
-what keeps ``Plumber.optimize(pipeline, passes=("parallelism",
-"prefetch", "cache"))`` working unchanged while letting users ship their
-own passes:
+Passes are looked up by name through a module-level registry, so a
+spec's ``passes`` can name the built-ins and user-shipped passes alike:
 
 >>> class DropShuffle:
 ...     name = "drop_shuffle"
@@ -22,13 +20,15 @@ own passes:
 ...         return [RemovePipelineNode(target="shuffle",
 ...                                    description="drop shuffle")]
 >>> register_pass(DropShuffle())
->>> plumber.optimize(pipe, passes=("parallelism", "drop_shuffle"))
+>>> spec = OptimizeSpec(passes=("parallelism", "drop_shuffle"))
+>>> Plumber(machine, spec=spec).optimize(pipe)
 
 Built-in passes: ``parallelism`` (the LP), ``prefetch`` (idleness-
 proportional buffer injection), ``cache`` (greedy closest-to-root
-placement), and ``fuse`` (collapse stacks of adjacent prefetch buffers
-into the deepest one — pure overhead removal, the kind of structural
-cleanup the Action vocabulary makes possible).
+placement, :func:`~repro.core.cache_planner.plan_caches`), and ``fuse``
+(collapse stacks of adjacent prefetch buffers into the deepest one —
+pure overhead removal, the kind of structural cleanup the Action
+vocabulary makes possible).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.cache_planner import CacheDecision, plan_cache_per_branch
+from repro.core.cache_planner import CacheDecision, plan_caches
 from repro.core.lp import LPSolution, solve_allocation
 from repro.core.prefetch_planner import plan_prefetch
 from repro.core.rates import PipelineModel
@@ -152,9 +152,10 @@ class PassContext:
 
     ``model`` always reflects the *current* pipeline — the driver
     refreshes it (an analytic trace) after every pass that applied
-    actions. ``lp`` and ``cache`` are cross-pass state slots: the
+    actions. ``lp`` and ``caches`` are cross-pass state slots: the
     parallelism pass records its latest LP solution, the cache pass its
-    (single) cache decision, and the final
+    cache decisions (closest-to-root first; one per branch on
+    multi-source DAGs), and the final
     :class:`~repro.core.plumber.OptimizationResult` reports both.
     """
 
@@ -164,9 +165,6 @@ class PassContext:
     model: Optional[PipelineModel] = None
     iteration: int = 0
     lp: Optional[LPSolution] = None
-    cache: Optional[CacheDecision] = None
-    #: all cache decisions this optimization planned (one per branch on
-    #: multi-source DAGs); ``cache`` remains the closest-to-root one.
     caches: List[CacheDecision] = field(default_factory=list)
 
     @property
@@ -197,9 +195,7 @@ class ParallelismPass:
     def plan(self, ctx: PassContext) -> List[Action]:
         lp = solve_allocation(ctx.model)
         ctx.lp = lp
-        plan = lp.parallelism_plan(
-            ctx.model, allocate_remaining=ctx.spec.allocate_remaining
-        )
+        plan = lp.parallelism_plan(ctx.model)
         if not plan:
             return []
         return [
@@ -241,20 +237,18 @@ class CachePass:
     are inserted would stack caches). On a chain exactly one cache is
     placed; on a multi-source DAG whose merged stream is uncacheable,
     each branch may get its own cache from the shared memory budget.
-    All decisions and their reservations are recorded on the context;
-    ``ctx.cache`` stays the closest-to-root decision.
+    All decisions and their reservations are recorded on the context.
     """
 
     name = "cache"
 
     def plan(self, ctx: PassContext) -> List[Action]:
-        if ctx.cache is not None or ctx.caches:
+        if ctx.caches:
             return []
-        caches = plan_cache_per_branch(ctx.model, ctx.memory)
+        caches = plan_caches(ctx.model, ctx.memory)
         if not caches:
             return []
-        ctx.caches = list(caches)
-        ctx.cache = caches[0]
+        ctx.caches = caches
         actions: List[Action] = []
         for cache in caches:
             ctx.memory.reserve(

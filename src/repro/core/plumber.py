@@ -16,7 +16,10 @@ The paper's workflow, one line for the user:
 4. **Rewrite** and hand back a pipeline with the same signature.
 
 The whole configuration — passes, iterations, backend, trace window,
-granularity, memory — is one :class:`~repro.core.spec.OptimizeSpec`.
+granularity, memory — is one :class:`~repro.core.spec.OptimizeSpec`,
+fixed when the :class:`Plumber` is built: no call takes a knob of its
+own, so the spec alone determines every run. For other settings, build
+``Plumber(machine, spec=spec.replace(...))``.
 
 Entry points: :class:`Plumber` for step-by-step control,
 :func:`optimize_pipeline` for the one-liner, and :func:`optimize` — the
@@ -54,13 +57,12 @@ class OptimizationResult:
     pipeline: Pipeline
     model: PipelineModel
     lp: Optional[LPSolution]
-    cache: Optional[CacheDecision]
     decisions: List[str] = field(default_factory=list)
     predicted_throughput: float = math.nan
     #: the spec backend's throughput of the *unoptimized* input
     baseline_throughput: float = math.nan
-    #: every cache planned (one per branch on multi-source DAGs);
-    #: ``cache`` is the closest-to-root entry, kept for compatibility
+    #: every cache planned, closest-to-root first (one per branch on
+    #: multi-source DAGs)
     caches: List[CacheDecision] = field(default_factory=list)
     #: one entry per (iteration, registered pass), in execution order —
     #: wallclock spent (plan + apply + re-trace), actions taken, and
@@ -88,16 +90,15 @@ class OptimizationResult:
         return self.lp.bottleneck if self.lp is not None else "none"
 
 
-def _run_config(spec: OptimizeSpec, **overrides) -> RunConfig:
-    """The traced run a spec describes; keyword overrides win."""
-    return RunConfig(**{
-        "duration": spec.trace_duration,
-        "warmup": spec.trace_warmup,
-        "granularity": spec.granularity,
-        "event_budget": spec.event_budget,
-        "trace": True,
-        **overrides,
-    })
+def _run_config(spec: OptimizeSpec) -> RunConfig:
+    """The traced run a spec describes."""
+    return RunConfig(
+        duration=spec.trace_duration,
+        warmup=spec.trace_warmup,
+        granularity=spec.granularity,
+        event_budget=spec.event_budget,
+        trace=True,
+    )
 
 
 class Plumber:
@@ -105,9 +106,9 @@ class Plumber:
 
     A ``Plumber`` is re-entrant: it holds only immutable configuration
     (one machine, one :class:`~repro.core.spec.OptimizeSpec`), and every
-    :meth:`optimize` call builds its own simulation, model, and (when
-    not supplied) :class:`MemoryBudget`, so concurrent optimize calls
-    never share mutable state. The batch optimization service
+    :meth:`optimize` call builds its own simulation, model, and
+    :class:`MemoryBudget`, so concurrent optimize calls never share
+    mutable state. The batch optimization service
     (:mod:`repro.service`) runs optimize calls concurrently from worker
     pools (one short-lived ``Plumber`` per job payload).
 
@@ -137,17 +138,11 @@ class Plumber:
         self.backend = resolve_backend(self.spec.backend)
 
     # ------------------------------------------------------------------
-    def trace(self, pipeline: Pipeline, **overrides) -> PipelineTrace:
-        """Collect a trace of the pipeline through the trace backend.
-
-        ``backend=None`` (or omitted) inherits the instance's backend,
-        matching the per-job override convention in the batch service.
-        """
-        backend = resolve_backend(
-            overrides.pop("backend", None) or self.backend
-        )
-        return backend.trace(
-            pipeline, self.machine, _run_config(self.spec, **overrides)
+    def trace(self, pipeline: Pipeline) -> PipelineTrace:
+        """Collect a trace of the pipeline with the spec's backend and
+        trace window."""
+        return self.backend.trace(
+            pipeline, self.machine, _run_config(self.spec)
         )
 
     def analyze(self, trace: PipelineTrace) -> PipelineModel:
@@ -160,29 +155,21 @@ class Plumber:
 
     def _traced_model(self, backend, pipeline: Pipeline,
                       config: RunConfig) -> PipelineModel:
-        """Trace + analyze with an explicit backend and run config (the
-        optimize driver's path, so a per-call spec override governs
-        trace acquisition too, not just pass selection)."""
+        """Trace + analyze with an explicit backend (the optimize
+        driver plans with the analytic one)."""
         return self.analyze(backend.trace(pipeline, self.machine, config))
 
     # ------------------------------------------------------------------
-    def optimize(
-        self,
-        pipeline: Pipeline,
-        passes: Optional[Sequence] = None,
-        iterations: Optional[int] = None,
-        memory: Optional[MemoryBudget] = None,
-        allocate_remaining: Optional[bool] = None,
-        spec: Optional[OptimizeSpec] = None,
-    ) -> OptimizationResult:
+    def optimize(self, pipeline: Pipeline) -> OptimizationResult:
         """Drive the pass pipeline and return the rewritten pipeline.
 
         Every pass in ``spec.passes`` (a registry name or an
         :class:`~repro.core.passes.OptimizerPass` object) is asked to
         ``plan`` against the current model; planned actions are applied
         through the rewriter and the pipeline is re-traced before the
-        next pass runs. The call-level arguments override the
-        corresponding spec fields for this call only.
+        next pass runs, for ``spec.iterations`` rounds. Caches draw on a
+        fresh :class:`MemoryBudget` of ``spec.memory_bytes`` (default:
+        the machine's memory).
 
         The planning traces come from the ``"analytic"`` backend, under
         the spec's trace window and granularity, so the plans are those
@@ -196,22 +183,13 @@ class Plumber:
         If the analytic trace of the input is degenerate (non-finite or
         zero throughput), the spec's backend plans as well.
         """
-        effective = (spec if spec is not None else self.spec).with_overrides(
-            passes=passes,
-            iterations=iterations,
-            allocate_remaining=allocate_remaining,
-        )
-        resolved = resolve_passes(effective.passes)
-        if memory is None:
-            memory = MemoryBudget(
-                effective.memory_bytes
-                if effective.memory_bytes is not None
-                else self.machine.memory_bytes
-            )
-        config = _run_config(effective)
+        spec = self.spec
+        resolved = resolve_passes(spec.passes)
+        memory = MemoryBudget(spec.memory_bytes or self.machine.memory_bytes)
+        config = _run_config(spec)
 
         original = strip_caches(pipeline)
-        certifier = resolve_backend(effective.backend)
+        certifier = resolve_backend(spec.backend)
         baseline = self._traced_model(certifier, original, config)
         planner = resolve_backend("analytic")
         same_backend = planner is certifier
@@ -227,13 +205,13 @@ class Plumber:
         ctx = PassContext(
             machine=self.machine,
             memory=memory,
-            spec=effective,
+            spec=spec,
             model=model,
         )
 
         telemetry: List[dict] = []
         clock = self.monotonic
-        for iteration in range(effective.iterations):
+        for iteration in range(spec.iterations):
             ctx.iteration = iteration
             for opt_pass in resolved:
                 pass_name = getattr(
@@ -322,35 +300,31 @@ class Plumber:
                 f"planned {planned.observed_throughput:.2f})"
             )
             current, certified = original, baseline
-            ctx.cache, ctx.caches = None, []
+            ctx.caches = []
         return OptimizationResult(
             pipeline=current,
             model=certified,
             lp=ctx.lp,
-            cache=ctx.cache,
             decisions=decisions,
             predicted_throughput=(
                 ctx.lp.predicted_throughput if ctx.lp else math.nan
             ),
             baseline_throughput=baseline.observed_throughput,
-            caches=list(ctx.caches),
+            caches=ctx.caches,
             pass_telemetry=telemetry,
             certification=certification,
         )
 
     # ------------------------------------------------------------------
-    def pick_best(
-        self,
-        variants: Dict[str, Pipeline],
-        passes: Optional[Sequence] = None,
-        iterations: int = 1,
-    ) -> "PickBestResult":
+    def pick_best(self, variants: Dict[str, Pipeline]) -> "PickBestResult":
         """Optimize each variant and pick the fastest (Figure 11).
 
-        Steady-state cache effects are simulated (the optimizer's model
-        treats cached subtrees as free), so cold-start does not penalize
-        the cacheable variant — the property the paper calls out as hard
-        for online tuners.
+        Each variant is optimized exactly as :meth:`optimize` would, and
+        scored by its certified throughput (``model.observed_throughput``
+        of the certifying trace). That trace covers the trace window from
+        a cold start, so a cached variant's score includes its cache's
+        populate epoch: a cacheable variant wins only if it is faster
+        within the window, not on steady-state serving alone.
 
         Ties on observed throughput are broken by variant name
         (lexicographically smallest wins), so the winner is
@@ -361,7 +335,7 @@ class Plumber:
         results: Dict[str, OptimizationResult] = {}
         scores: Dict[str, float] = {}
         for name, pipe in variants.items():
-            res = self.optimize(pipe, passes=passes, iterations=iterations)
+            res = self.optimize(pipe)
             results[name] = res
             scores[name] = res.model.observed_throughput
         best = max(scores.values())
@@ -397,10 +371,9 @@ def optimize_pipeline(
     pipeline: Pipeline,
     machine: Machine,
     spec: Optional[OptimizeSpec] = None,
-    **kwargs,
 ) -> OptimizationResult:
     """One-line pipeline optimization (the paper's headline API)."""
-    return Plumber(machine, spec=spec).optimize(pipeline, **kwargs)
+    return Plumber(machine, spec=spec).optimize(pipeline)
 
 
 def optimize(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.cache_planner import plan_cache_greedy
+from repro.core.cache_planner import plan_caches, subtree_names
 from repro.core.rates import PipelineModel
 from repro.host.memory import MemoryBudget
 
@@ -51,26 +51,20 @@ def provision_for_throughput(
     Parameters
     ----------
     use_cache:
-        If True, assume the greedy cache is taken (its subtree costs
-        vanish in steady state) and report the memory bill alongside the
-        reduced CPU/disk requirements.
+        If True, assume the closest-to-root cache is taken (its subtree
+        costs vanish in steady state) and report the memory bill
+        alongside the reduced CPU/disk requirements.
     """
     if target_throughput <= 0:
         raise ProvisioningError(
             f"target throughput must be > 0, got {target_throughput}"
         )
 
-    cache = plan_cache_greedy(
+    caches = plan_caches(
         model, MemoryBudget(float("1e30"), headroom_fraction=0.0)
-    ) if use_cache else None
-    free: set = set()
-    if cache is not None:
-        node = model.pipeline.node(cache.target)
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            free.add(n.name)
-            stack.extend(n.inputs)
+    ) if use_cache else []
+    cache = caches[0] if caches else None
+    free = subtree_names(model, cache.target) if cache is not None else set()
 
     # Cores: X * Σ 1/R_i over paying nodes (θ_i = X / R_i each).
     cores = 0.0

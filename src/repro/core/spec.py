@@ -70,9 +70,6 @@ class OptimizeSpec:
     memory_bytes:
         Ceiling for the cache planner's :class:`~repro.host.memory.
         MemoryBudget` (``None`` = the traced machine's memory).
-    allocate_remaining:
-        Whether the parallelism pass pushes leftover cores onto the
-        bottleneck node (§5.4 behaviour).
     """
 
     passes: Tuple = DEFAULT_PASSES
@@ -83,7 +80,6 @@ class OptimizeSpec:
     trace_duration: float = 3.0
     trace_warmup: float = 0.5
     memory_bytes: Optional[float] = None
-    allocate_remaining: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passes", tuple(self.passes))
@@ -108,17 +104,6 @@ class OptimizeSpec:
     def replace(self, **changes) -> "OptimizeSpec":
         """A copy with ``changes`` applied (validation re-runs)."""
         return dataclasses.replace(self, **changes)
-
-    def with_overrides(self, **overrides) -> "OptimizeSpec":
-        """A copy with every non-None override applied.
-
-        The fold behind the call-level conveniences of
-        :meth:`Plumber.optimize <repro.core.plumber.Plumber.optimize>`
-        (``passes=``, ``iterations=``, ``allocate_remaining=``): ``None``
-        means "inherit", anything else replaces the field.
-        """
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return self.replace(**changes) if changes else self
 
     @property
     def backend_name(self) -> str:
@@ -165,7 +150,6 @@ class OptimizeSpec:
             "trace_duration": self.trace_duration,
             "trace_warmup": self.trace_warmup,
             "memory_bytes": self.memory_bytes,
-            "allocate_remaining": self.allocate_remaining,
         }
 
     def to_dict(self) -> dict:
@@ -174,15 +158,18 @@ class OptimizeSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizeSpec":
-        """Rebuild a spec serialized with :meth:`to_dict`."""
-        return cls(
-            passes=tuple(data["passes"]),
-            iterations=data["iterations"],
-            backend=data["backend"],
-            granularity=data["granularity"],
-            event_budget=data["event_budget"],
-            trace_duration=data["trace_duration"],
-            trace_warmup=data["trace_warmup"],
-            memory_bytes=data["memory_bytes"],
-            allocate_remaining=data["allocate_remaining"],
-        )
+        """Rebuild a spec serialized with :meth:`to_dict`.
+
+        Every field is required and no other key is accepted (``schema``
+        aside, which :meth:`to_dict` writes): a ``ValueError`` names the
+        missing and unknown keys, so a client sending a field this
+        version does not have is told instead of silently ignored.
+        """
+        fields = [f.name for f in dataclasses.fields(cls)]
+        missing = [k for k in fields if k not in data]
+        unknown = sorted(set(data) - set(fields) - {"schema"})
+        if missing or unknown:
+            raise ValueError(
+                f"spec keys: missing {missing}, unknown {unknown}"
+            )
+        return cls(**{k: data[k] for k in fields})

@@ -204,12 +204,11 @@ def machine():
 
 def _solved_traces(pipeline, machine, duration=3.0, warmup=0.5):
     """(trace, LP solution) per backend for one graph."""
-    plumber = Plumber(machine,
-                      spec=OptimizeSpec(trace_duration=duration,
-                                        trace_warmup=warmup))
     out = {}
     for name in BACKENDS:
-        trace = plumber.trace(pipeline, backend=name)
+        spec = OptimizeSpec(backend=name, trace_duration=duration,
+                            trace_warmup=warmup)
+        trace = Plumber(machine, spec=spec).trace(pipeline)
         out[name] = (trace, solve_allocation(build_model(trace)))
     return out
 

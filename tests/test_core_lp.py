@@ -104,9 +104,11 @@ class TestLP:
 
         pipe = two_stage_pipeline(small_catalog)
         plumber = Plumber(test_machine,
-                          spec=OptimizeSpec(trace_duration=2.0,
+                          spec=OptimizeSpec(passes=("parallelism",),
+                                            iterations=2,
+                                            trace_duration=2.0,
                                             trace_warmup=0.5))
-        res = plumber.optimize(pipe, passes=("parallelism",), iterations=2)
+        res = plumber.optimize(pipe)
         observed = res.model.observed_throughput
         predicted = solve_allocation(res.model).predicted_throughput
         assert predicted >= observed * 0.95
@@ -117,19 +119,21 @@ class TestParallelismPlan:
     def test_plan_is_integral_and_positive(self, small_catalog, test_machine):
         model = model_of(two_stage_pipeline(small_catalog), test_machine)
         sol = solve_allocation(model)
-        plan = sol.parallelism_plan(model, allocate_remaining=False)
+        plan = sol.parallelism_plan(model)
         for name, p in plan.items():
             assert isinstance(p, int) and p >= 1, name
 
     def test_allocate_remaining_boosts_bottleneck(
         self, small_catalog, test_machine
     ):
+        """The bottleneck gets at least its ``ceil(θ)`` plus whatever
+        cores the rest of the plan leaves over, within the budget."""
         model = model_of(two_stage_pipeline(small_catalog), test_machine)
         sol = solve_allocation(model)
-        conservative = sol.parallelism_plan(model, allocate_remaining=False)
-        greedy = sol.parallelism_plan(model, allocate_remaining=True)
-        assert greedy["m_heavy"] >= conservative["m_heavy"]
-        assert sum(greedy.values()) <= test_machine.cores + len(greedy)
+        plan = sol.parallelism_plan(model)
+        assert sol.bottleneck == "m_heavy"
+        assert plan["m_heavy"] >= math.ceil(sol.theta["m_heavy"] - 1e-9)
+        assert sum(plan.values()) <= test_machine.cores + len(plan)
 
     def test_leftover_accounts_for_sequential_theta(
         self, small_catalog, test_machine
@@ -149,7 +153,7 @@ class TestParallelismPlan:
         )
         model = model_of(pipe, test_machine)
         sol = solve_allocation(model)
-        plan = sol.parallelism_plan(model, allocate_remaining=True)
+        plan = sol.parallelism_plan(model)
         seq_theta = sum(
             th for name, th in sol.theta.items()
             if name not in {n.name for n in model.pipeline.tunables()}

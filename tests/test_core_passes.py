@@ -141,11 +141,9 @@ class TestActions:
 class TestFusePass:
     def test_fuse_collapses_stack_keeping_max_buffer(self, small_catalog,
                                                      test_machine):
-        plumber = Plumber(test_machine, spec=ANALYTIC)
-        result = plumber.optimize(
-            stacked_prefetch_pipeline(small_catalog),
-            passes=("fuse",), iterations=1,
-        )
+        plumber = Plumber(test_machine, spec=ANALYTIC.replace(
+            passes=("fuse",), iterations=1))
+        result = plumber.optimize(stacked_prefetch_pipeline(small_catalog))
         kept = [n for n in result.pipeline.nodes if n.startswith("pf_")]
         assert kept == ["pf_b"]  # the largest buffer survives
         assert result.pipeline.node("pf_b").buffer_size == 8
@@ -153,20 +151,20 @@ class TestFusePass:
 
     def test_fuse_noop_without_adjacent_prefetches(self, small_catalog,
                                                    test_machine):
-        plumber = Plumber(test_machine, spec=ANALYTIC)
+        plumber = Plumber(test_machine, spec=ANALYTIC.replace(
+            passes=("fuse",), iterations=1))
         pipe = two_stage_pipeline(small_catalog)
-        result = plumber.optimize(pipe, passes=("fuse",), iterations=1)
+        result = plumber.optimize(pipe)
         assert result.decisions == []
         assert set(result.pipeline.nodes) == set(pipe.nodes)
 
     def test_fuse_then_standard_passes(self, small_catalog, test_machine):
         """The new pass composes with the original three in one spec."""
-        plumber = Plumber(test_machine, spec=SHORT)
-        result = plumber.optimize(
-            stacked_prefetch_pipeline(small_catalog),
+        plumber = Plumber(test_machine, spec=SHORT.replace(
             passes=("fuse", "parallelism", "prefetch", "cache"),
             iterations=1,
-        )
+        ))
+        result = plumber.optimize(stacked_prefetch_pipeline(small_catalog))
         kept = [n for n in result.pipeline.nodes if n.startswith("pf_")]
         assert kept == ["pf_b"]
         assert result.lp is not None
@@ -189,11 +187,9 @@ class TestCustomPassInDriver:
                     description=f"iter{ctx.iteration}: widen m_heavy",
                 )]
 
-        plumber = Plumber(test_machine, spec=ANALYTIC)
-        result = plumber.optimize(
-            two_stage_pipeline(small_catalog),
-            passes=(Widen(),), iterations=1,
-        )
+        plumber = Plumber(test_machine, spec=ANALYTIC.replace(
+            passes=(Widen(),), iterations=1))
+        result = plumber.optimize(two_stage_pipeline(small_catalog))
         assert result.pipeline.node("m_heavy").parallelism == 3
         assert result.decisions == ["iter0: widen m_heavy"]
         # No parallelism pass ran, so no LP solution was recorded.
@@ -212,10 +208,9 @@ class TestCustomPassInDriver:
                 seen["pipeline"] = ctx.pipeline.name
                 return []
 
-        Plumber(test_machine, spec=ANALYTIC).optimize(
-            two_stage_pipeline(small_catalog), passes=(Probe(),),
-            iterations=1,
-        )
+        Plumber(test_machine, spec=ANALYTIC.replace(
+            passes=(Probe(),), iterations=1,
+        )).optimize(two_stage_pipeline(small_catalog))
         assert seen["machine"] is test_machine
         assert seen["memory"] == test_machine.memory_bytes
         assert seen["pipeline"]

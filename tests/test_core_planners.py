@@ -4,15 +4,22 @@ import math
 
 import pytest
 
-from repro.core.cache_planner import plan_cache_exhaustive, plan_cache_greedy
+from repro.core.cache_planner import plan_caches
 from repro.core.disk_planner import (
     benchmark_source_curve,
     fit_piecewise,
     io_bound_throughput,
 )
+from repro.core.plumber import Plumber
 from repro.core.prefetch_planner import plan_prefetch
+from repro.core.rewriter import strip_caches
+from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
+from repro.host.machine import setup_a
 from repro.host.memory import MemoryBudget
+from repro.workloads.registry import MICROBENCH_WORKLOADS
+from tests import test_backend_differential as differential
+from tests.cache_oracle import cached_lp_throughput, plan_cache_exhaustive
 from tests.conftest import make_udf
 from tests.test_core_rates import model_of
 
@@ -33,9 +40,8 @@ def amplifying_pipeline(catalog, random_tail=True):
 class TestCacheGreedy:
     def test_picks_closest_to_root_that_fits(self, small_catalog, test_machine):
         model = model_of(amplifying_pipeline(small_catalog), test_machine)
-        decision = plan_cache_greedy(model)
         # aug/batch are random-tainted; decode (6x bytes) fits 8 GB RAM.
-        assert decision is not None
+        decision, = plan_caches(model)
         assert decision.target == "dec"
         assert decision.materialized_bytes == pytest.approx(
             6 * small_catalog.total_bytes, rel=0.05
@@ -45,13 +51,13 @@ class TestCacheGreedy:
         model = model_of(amplifying_pipeline(small_catalog), test_machine)
         # Budget fits the 41 MB source but not the 247 MB decode output.
         budget = MemoryBudget(60e6, headroom_fraction=0.0)
-        decision = plan_cache_greedy(model, budget)
+        decision, = plan_caches(model, budget)
         assert decision.target in ("src", "dec")
         assert decision.materialized_bytes <= 60e6
 
     def test_none_when_nothing_fits(self, small_catalog, test_machine):
         model = model_of(amplifying_pipeline(small_catalog), test_machine)
-        assert plan_cache_greedy(model, MemoryBudget(1e3)) is None
+        assert plan_caches(model, MemoryBudget(1e3)) == []
 
     def test_none_when_everything_random(self, small_catalog, test_machine):
         pipe = (
@@ -64,7 +70,7 @@ class TestCacheGreedy:
         )
         model = model_of(pipe, test_machine)
         # Only the source itself remains cacheable.
-        decision = plan_cache_greedy(model)
+        decision, = plan_caches(model)
         assert decision.target == "src"
 
     def test_batch_output_cacheable_when_deterministic(
@@ -73,24 +79,43 @@ class TestCacheGreedy:
         model = model_of(
             amplifying_pipeline(small_catalog, random_tail=False), test_machine
         )
-        decision = plan_cache_greedy(model)
+        decision, = plan_caches(model)
         assert decision.target == "b"  # closest to root
 
 
-class TestCacheExhaustive:
-    def test_agrees_with_greedy_on_linear_pipeline(
-        self, small_catalog, test_machine
-    ):
-        model = model_of(amplifying_pipeline(small_catalog), test_machine)
-        greedy = plan_cache_greedy(model)
-        best = plan_cache_exhaustive(model)
-        assert best is not None
-        assert best.target == greedy.target
+def _oracle_graphs():
+    """(id, pipeline) for the paper pipelines and every
+    differential-harness graph."""
+    paper = [(f"paper-{name}", w.build())
+             for name, w in sorted(MICROBENCH_WORKLOADS.items())]
+    linear = [(f"linear-{seed:02d}", differential.random_pipeline(seed))
+              for seed in range(differential.NUM_CASES)]
+    multi = [(f"multi-{seed:02d}",
+              differential.random_multisource_pipeline(seed))
+             for seed in range(differential.NUM_MULTISOURCE_CASES)]
+    heavy = [(f"heavy-{seed:02d}", differential.cache_heavy_pipeline(seed))
+             for seed in range(differential.NUM_CACHE_HEAVY_CASES)]
+    return paper + linear + multi + heavy
 
-    def test_reports_speedup_hint(self, small_catalog, test_machine):
-        model = model_of(amplifying_pipeline(small_catalog), test_machine)
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+class TestCacheExhaustive:
+    """The greedy planner against the exhaustive oracle
+    (:mod:`tests.cache_oracle`), on the analytic model of each input."""
+
+    @pytest.mark.parametrize("pipeline", [g for _, g in ORACLE_GRAPHS],
+                             ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_greedy_matches_exhaustive_best(self, pipeline):
+        plumber = Plumber(setup_a(), spec=OptimizeSpec(backend="analytic"))
+        model = plumber.model(strip_caches(pipeline))
+        caches = plan_caches(model)
         best = plan_cache_exhaustive(model)
-        assert best.expected_speedup_hint is None or best.expected_speedup_hint > 0
+        assert (best is None) == (caches == [])
+        if len(caches) == 1:
+            assert cached_lp_throughput(model, caches[0].target) == \
+                pytest.approx(best[1], rel=1e-9)
 
 
 class TestPrefetchPlanner:

@@ -16,6 +16,11 @@ def plumber(test_machine):
                    spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.3))
 
 
+def respec(plumber, **changes):
+    """A Plumber on ``plumber``'s machine, its spec with ``changes``."""
+    return Plumber(plumber.machine, spec=plumber.spec.replace(**changes))
+
+
 class TestOptimize:
     def test_improves_over_naive(self, small_catalog, plumber, test_machine):
         from repro.runtime.executor import run_pipeline
@@ -29,25 +34,26 @@ class TestOptimize:
         assert tuned.throughput > naive.throughput * 2
 
     def test_parallelism_pass_only(self, small_catalog, plumber):
-        result = plumber.optimize(
-            two_stage_pipeline(small_catalog), passes=("parallelism",)
+        result = respec(plumber, passes=("parallelism",)).optimize(
+            two_stage_pipeline(small_catalog)
         )
-        assert result.cache is None
+        assert result.caches == []
         assert result.pipeline.node("m_heavy").parallelism > 1
         assert existing_cache(result.pipeline) is None
 
     def test_cache_pass_inserts_cache(self, small_catalog, plumber):
         result = plumber.optimize(two_stage_pipeline(small_catalog))
-        assert result.cache is not None
+        assert len(result.caches) == 1
         assert existing_cache(result.pipeline) is not None
 
     def test_rejects_unknown_pass(self, small_catalog, plumber):
         with pytest.raises(ValueError, match="unknown optimizer passes"):
-            plumber.optimize(two_stage_pipeline(small_catalog), passes=("magic",))
+            respec(plumber, passes=("magic",)).optimize(
+                two_stage_pipeline(small_catalog))
 
     def test_rejects_zero_iterations(self, small_catalog, plumber):
         with pytest.raises(ValueError, match="iterations"):
-            plumber.optimize(two_stage_pipeline(small_catalog), iterations=0)
+            respec(plumber, iterations=0)
 
     def test_user_caches_are_replaced(self, small_catalog, plumber):
         from repro.core.rewriter import insert_cache_after
@@ -65,7 +71,8 @@ class TestOptimize:
 
     def test_one_liner(self, small_catalog, test_machine):
         result = optimize_pipeline(
-            two_stage_pipeline(small_catalog), test_machine, iterations=1
+            two_stage_pipeline(small_catalog), test_machine,
+            spec=OptimizeSpec(iterations=1),
         )
         assert result.model.observed_throughput > 0
 
@@ -78,21 +85,42 @@ class TestOptimize:
         assert result.model.observed_throughput > 0
 
 
-class TestTrace:
-    def test_trace_accepts_explicit_trace_flag(self, small_catalog,
-                                               plumber):
-        """Regression: ``trace=`` in **overrides used to collide with
-        the hardcoded ``trace=True`` keyword (TypeError)."""
-        pipe = two_stage_pipeline(small_catalog)
-        untraced = plumber.trace(pipe, trace=False)
-        traced = plumber.trace(pipe, trace=True)
-        assert untraced.root_throughput > 0
-        # tracer_overhead is only charged when tracing is on, so the
-        # flag observably reached RunConfig.
-        assert untraced.root_throughput >= traced.root_throughput
+def fig11_variant(catalog, fused: bool):
+    """Figure 11's choice: a fast fused decode, or a slightly slower
+    unfused one whose decode output is cacheable."""
+    decode = make_udf(
+        "decode", cpu=2e-3 if fused else 2.2e-3,
+        size_ratio=2.0, random=fused,
+    )
+    ds = from_tfrecords(catalog, parallelism=1, name="src")
+    ds = ds.map(decode, parallelism=1, name="m_dec")
+    if not fused:
+        ds = ds.map(make_udf("crop", cpu=2e-4, random=True),
+                    parallelism=1, name="m_crop")
+    return (
+        ds.batch(16, name="b").repeat(None, name="r")
+        .build("fused" if fused else "unfused")
+    )
 
 
 class TestPickBest:
+    def test_variants_optimized_under_the_plumbers_spec(self, small_catalog,
+                                                        plumber):
+        """Each variant's result is exactly ``optimize(variant)``'s:
+        the same program and decisions, for ``spec.iterations`` rounds."""
+        from repro.graph.serialize import pipeline_to_json
+
+        variants = {name: fig11_variant(small_catalog, fused)
+                    for name, fused in (("fused", True), ("unfused", False))}
+        best = plumber.pick_best(variants)
+        for name, pipe in variants.items():
+            alone = plumber.optimize(pipe)
+            assert best.results[name].decisions == alone.decisions
+            assert pipeline_to_json(best.results[name].pipeline) == \
+                pipeline_to_json(alone.pipeline)
+            assert {e["iteration"] for e in alone.pass_telemetry} == \
+                set(range(plumber.spec.iterations))
+
     def test_picks_faster_variant(self, small_catalog, plumber):
         slow = (
             from_tfrecords(small_catalog, parallelism=1, name="src")
@@ -108,7 +136,8 @@ class TestPickBest:
             .repeat(None, name="r")
             .build("fast")
         )
-        result = plumber.pick_best({"slow": slow, "fast": fast}, iterations=1)
+        result = respec(plumber, iterations=1).pick_best(
+            {"slow": slow, "fast": fast})
         assert result.winner == "fast"
         assert result.pipeline.name == "fast"
 
@@ -130,14 +159,11 @@ class TestPickBest:
                 .build(name)
             )
 
+        plumber = respec(plumber, passes=("parallelism",), iterations=1)
         forward = plumber.pick_best(
-            {"alpha": build("alpha"), "beta": build("beta")},
-            passes=("parallelism",), iterations=1,
-        )
+            {"alpha": build("alpha"), "beta": build("beta")})
         backward = plumber.pick_best(
-            {"beta": build("beta"), "alpha": build("alpha")},
-            passes=("parallelism",), iterations=1,
-        )
+            {"beta": build("beta"), "alpha": build("alpha")})
         assert forward.scores["alpha"] == forward.scores["beta"]
         assert forward.winner == "alpha"
         assert backward.winner == "alpha"
@@ -158,25 +184,10 @@ class TestOptimizeDecorator:
     def test_decorator_pick_best_cache_flag(self, small_catalog, test_machine):
         """The Figure 11 pattern: cacheable unfused vs fast fused."""
 
-        def build(fused: bool):
-            decode = make_udf(
-                "decode", cpu=2e-3 if fused else 2.2e-3,
-                size_ratio=2.0, random=fused,
-            )
-            ds = from_tfrecords(small_catalog, parallelism=1, name="src")
-            ds = ds.map(decode, parallelism=1, name="m_dec")
-            if not fused:
-                ds = ds.map(make_udf("crop", cpu=2e-4, random=True),
-                            parallelism=1, name="m_crop")
-            return (
-                ds.batch(16, name="b").repeat(None, name="r")
-                .build("fused" if fused else "unfused")
-            )
-
         @optimize(test_machine, pick_best={"fused": [True, False]},
                   spec=OptimizeSpec(trace_duration=1.0, trace_warmup=0.2))
         def loader(fused=False):
-            return build(fused)
+            return fig11_variant(small_catalog, fused)
 
         pipe = loader()
         assert pipe.name in ("fused", "unfused")
@@ -204,10 +215,9 @@ class TestPassTelemetry:
         self, small_catalog, test_machine
     ):
         passes = ("parallelism", "prefetch", "cache")
-        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"))
-        result = plumber.optimize(
-            two_stage_pipeline(small_catalog), passes=passes, iterations=2
-        )
+        plumber = Plumber(test_machine, spec=OptimizeSpec(
+            passes=passes, iterations=2, backend="analytic"))
+        result = plumber.optimize(two_stage_pipeline(small_catalog))
         assert [(e["iteration"], e["pass"]) for e in result.pass_telemetry] \
             == [(i, p) for i in range(2) for p in passes]
         for entry in result.pass_telemetry:
@@ -219,11 +229,11 @@ class TestPassTelemetry:
         self, small_catalog, test_machine
     ):
         ticks = iter(float(i) for i in range(100))
-        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"),
+        plumber = Plumber(test_machine,
+                          spec=OptimizeSpec(passes=("parallelism",),
+                                            backend="analytic"),
                           monotonic=lambda: next(ticks))
-        result = plumber.optimize(
-            two_stage_pipeline(small_catalog), passes=("parallelism",)
-        )
+        result = plumber.optimize(two_stage_pipeline(small_catalog))
         # The fake clock advances 1.0 between the start and end reads.
         assert result.pass_telemetry[0]["seconds"] == 1.0
 
@@ -261,10 +271,9 @@ class TestPassTelemetry:
         hist = global_registry().histogram("repro_pass_seconds")
         cell = hist.labels(**{"pass": "parallelism"})
         before = cell.count
-        Plumber(test_machine, spec=OptimizeSpec(backend="analytic")).optimize(
-            two_stage_pipeline(small_catalog),
-            passes=("parallelism",), iterations=1,
-        )
+        Plumber(test_machine, spec=OptimizeSpec(
+            passes=("parallelism",), iterations=1, backend="analytic",
+        )).optimize(two_stage_pipeline(small_catalog))
         assert cell.count == before + 1
 
 
@@ -327,8 +336,8 @@ class TestPlanAnalyticallyCertifyOnce:
 
     def test_no_acting_pass_simulates_once(self, small_catalog, plumber,
                                            counted):
-        result = plumber.optimize(two_stage_pipeline(small_catalog),
-                                  passes=(IdlePass(),))
+        result = respec(plumber, passes=(IdlePass(),)).optimize(
+            two_stage_pipeline(small_catalog))
         assert counted["simulate"].calls == 1
         assert counted["analytic"].calls == 1
         assert result.speedup == 1.0
@@ -351,8 +360,7 @@ class TestPlanAnalyticallyCertifyOnce:
         from repro.graph.serialize import pipeline_to_json
 
         pipe = two_stage_pipeline(small_catalog)
-        analytic = plumber.optimize(
-            pipe, spec=plumber.spec.replace(backend="analytic"))
+        analytic = respec(plumber, backend="analytic").optimize(pipe)
         default = plumber.optimize(pipe)
         assert pipeline_to_json(default.pipeline) == \
             pipeline_to_json(analytic.pipeline)
@@ -374,8 +382,9 @@ class TestPlanAnalyticallyCertifyOnce:
             return trace
 
         monkeypatch.setattr(counted["analytic"], "trace", degenerate)
-        result = plumber.optimize(two_stage_pipeline(small_catalog),
-                                  passes=("parallelism",), iterations=1)
+        result = respec(plumber, passes=("parallelism",),
+                        iterations=1).optimize(
+            two_stage_pipeline(small_catalog))
         assert counted["analytic"].calls == 1
         assert counted["simulate"].calls == 1 + acting_passes(result)
         cert = result.certification
@@ -418,8 +427,8 @@ class TestCertificationRevert:
     def test_simulate_spec_reverts_to_the_input(self, tuned, plumber):
         from repro.graph.serialize import pipeline_to_json
 
-        result = plumber.optimize(tuned, passes=("serialize_maps",),
-                                  iterations=1)
+        result = respec(plumber, passes=("serialize_maps",),
+                        iterations=1).optimize(tuned)
         assert pipeline_to_json(result.pipeline) == pipeline_to_json(tuned)
         assert result.certification["verdict"] == "reverted"
         # The certificate records what the simulator measured on the
@@ -428,14 +437,14 @@ class TestCertificationRevert:
         assert result.certification["planned"] < result.baseline_throughput
         assert result.model.observed_throughput == result.baseline_throughput
         assert result.speedup == 1.0
-        assert result.cache is None and result.caches == []
+        assert result.caches == []
         assert result.decisions[-1].startswith("certify: reverted (")
 
     def test_analytic_spec_applies_the_pass_unchanged(self, tuned,
                                                       test_machine):
-        plumber = Plumber(test_machine, spec=OptimizeSpec(backend="analytic"))
-        result = plumber.optimize(tuned, passes=("serialize_maps",),
-                                  iterations=1)
+        plumber = Plumber(test_machine, spec=OptimizeSpec(
+            passes=("serialize_maps",), iterations=1, backend="analytic"))
+        result = plumber.optimize(tuned)
         assert result.pipeline.node("m_heavy").parallelism == 1
         assert result.pipeline.node("m_cheap").parallelism == 1
         assert result.certification["verdict"] == "same-backend"

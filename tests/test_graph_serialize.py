@@ -165,9 +165,10 @@ class TestRewrittenRoundTrip:
         from repro.graph.signature import structural_signature
 
         plumber = Plumber(test_machine,
-                          spec=OptimizeSpec(trace_duration=1.0,
+                          spec=OptimizeSpec(iterations=1,
+                                            trace_duration=1.0,
                                             trace_warmup=0.25))
-        result = plumber.optimize(self.base(small_catalog), iterations=1)
+        result = plumber.optimize(self.base(small_catalog))
         text = pipeline_to_json(result.pipeline)
         restored = pipeline_from_json(text)
         assert structural_signature(restored) == structural_signature(

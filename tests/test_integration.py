@@ -75,9 +75,9 @@ def test_cache_decision_respects_machine_memory(machine):
                       spec=OptimizeSpec(trace_duration=1.5, trace_warmup=0.4))
     pipe = get_workload("resnet").build(scale=0.05)  # 7.4 GB source
     result = plumber.optimize(pipe)
-    assert result.cache is not None
+    cache, = result.caches
     # Decoded output (~42 GB) exceeds the 34 GB host: cache below decode.
-    assert result.cache.target in ("interleave_tfrecord", "map_parse")
+    assert cache.target in ("interleave_tfrecord", "map_parse")
     assert existing_cache(result.pipeline) is not None
 
 

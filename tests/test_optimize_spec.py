@@ -59,9 +59,22 @@ class TestSerialization:
             passes=("fuse", "parallelism"), iterations=3,
             backend="analytic", granularity=4, event_budget=10_000,
             trace_duration=2.0, trace_warmup=0.25, memory_bytes=1e9,
-            allocate_remaining=False,
         )
         assert OptimizeSpec.from_dict(spec.to_dict()) == spec
+
+    def test_from_dict_rejects_unknown_keys(self):
+        """A field this version does not have is an error, not ignored
+        (a client sending ``allocate_remaining: false`` must be told)."""
+        data = dict(OptimizeSpec().to_dict(), allocate_remaining=False)
+        with pytest.raises(ValueError, match="unknown.*allocate_remaining"):
+            OptimizeSpec.from_dict(data)
+
+    def test_from_dict_rejects_missing_keys(self):
+        data = OptimizeSpec().to_dict()
+        del data["iterations"], data["memory_bytes"]
+        with pytest.raises(ValueError,
+                           match=r"missing \['iterations', 'memory_bytes'\]"):
+            OptimizeSpec.from_dict(data)
 
     def test_cache_token_is_json_compatible(self):
         import json
@@ -80,7 +93,6 @@ class TestSerialization:
             base.replace(trace_duration=2.0),
             base.replace(trace_warmup=0.25),
             base.replace(memory_bytes=1e9),
-            base.replace(allocate_remaining=False),
         ]
         tokens = [str(sorted(v.cache_token().items())) for v in variants]
         tokens.append(str(sorted(base.cache_token().items())))
@@ -199,7 +211,6 @@ class TestCacheTokenProperties:
         "trace_duration": [1.0, 3.0, 5.0],
         "trace_warmup": [0.0, 0.25, 0.5],
         "memory_bytes": [None, 1e9, 32e9],
-        "allocate_remaining": [True, False],
     }
 
     @classmethod
@@ -248,9 +259,9 @@ class TestCacheTokenProperties:
 
     @pytest.mark.parametrize("spec, key", [
         (OptimizeSpec(),
-         "3003e5550e19b6a2d192b9e7dfd613f868460a1bdb7932cb2520c886683d3ea3"),
+         "ef58ac2172137e1671ba50d3624c3564c6060f2974f149ca3a5b52eb6e1ddff7"),
         (OptimizeSpec(backend="analytic"),
-         "6fb8a028f3fa1fbdda1d0592b47b6b6e0928f42f88376a7e45561f34d918701d"),
+         "14f2d714c519bd42e33fd7210a79849dfea9f9bf20d0511e34dbed4dbbb7a8fc"),
     ], ids=("default", "analytic"))
     def test_pinned_cache_keys(self, spec, key):
         """Literal keys: a change to the token's layout or defaults would
@@ -271,8 +282,7 @@ class TestCacheTokenProperties:
         spec = OptimizeSpec(passes=("fuse", "parallelism"), iterations=3,
                             backend="analytic", granularity=4,
                             event_budget=10_000, trace_duration=2.0,
-                            trace_warmup=0.25, memory_bytes=1e9,
-                            allocate_remaining=False)
+                            trace_warmup=0.25, memory_bytes=1e9)
         key = self._key(spec)
         DiskStore(tmp_path).put(key, {"result": {"marker": 42}})
         script = textwrap.dedent(f"""
@@ -284,8 +294,7 @@ class TestCacheTokenProperties:
             spec = OptimizeSpec(passes=("fuse", "parallelism"), iterations=3,
                                 backend="analytic", granularity=4,
                                 event_budget=10_000, trace_duration=2.0,
-                                trace_warmup=0.25, memory_bytes=1e9,
-                                allocate_remaining=False)
+                                trace_warmup=0.25, memory_bytes=1e9)
             key = canonical_hash(spec.cache_token())
             print(key)
             print(json.dumps(DiskStore({str(tmp_path)!r}).get(key)))
@@ -302,46 +311,21 @@ class TestCacheTokenProperties:
 
 
 class TestPlumberSpec:
-    def test_spec_and_legacy_kwargs_equivalent(self, small_catalog,
-                                               test_machine):
-        """The call-level ``optimize(iterations=...)`` keyword is the same
-        as setting the spec field."""
-        from repro.core.plumber import Plumber
-        from tests.test_core_lp import two_stage_pipeline
-
-        pipe = two_stage_pipeline(small_catalog)
-        spec = OptimizeSpec(trace_duration=1.5, trace_warmup=0.3,
-                            backend="analytic")
-        call_level = Plumber(test_machine, spec=spec).optimize(
-            pipe, iterations=1)
-        modern = Plumber(test_machine,
-                         spec=spec.replace(iterations=1)).optimize(pipe)
-        assert modern.decisions == call_level.decisions
-        assert modern.model.observed_throughput == pytest.approx(
-            call_level.model.observed_throughput
-        )
-
-    def test_call_level_spec_governs_trace_acquisition(self, small_catalog,
-                                                       test_machine):
-        """Regression: a per-call ``spec=`` must drive the trace backend
-        and window too, not just pass selection — identical results to
-        constructing the Plumber with that spec."""
+    def test_spec_governs_trace_acquisition(self, small_catalog,
+                                            test_machine):
+        """The spec's backend and window drive every trace: the
+        certified model and ``Plumber.trace`` both come from them."""
         from repro.core.plumber import Plumber
         from tests.test_core_lp import two_stage_pipeline
 
         pipe = two_stage_pipeline(small_catalog)
         spec = OptimizeSpec(iterations=1, backend="analytic",
                             trace_duration=1.0, trace_warmup=0.25)
-        per_call = Plumber(test_machine).optimize(pipe, spec=spec)
-        per_instance = Plumber(test_machine, spec=spec).optimize(pipe)
-        assert per_call.decisions == per_instance.decisions
-        assert per_call.model.observed_throughput == pytest.approx(
-            per_instance.model.observed_throughput
-        )
-        # The analytic backend stamps its traces; a simulate-window trace
-        # would differ in measured_seconds.
-        assert per_call.model.trace.backend == "analytic"
-        assert per_call.model.trace.measured_seconds == pytest.approx(0.75)
+        plumber = Plumber(test_machine, spec=spec)
+        for trace in (plumber.optimize(pipe).model.trace,
+                      plumber.trace(pipe)):
+            assert trace.backend == "analytic"
+            assert trace.measured_seconds == pytest.approx(0.75)
 
     def test_memory_bytes_caps_cache_planning(self, small_catalog,
                                               test_machine):
@@ -354,4 +338,4 @@ class TestPlumberSpec:
                             backend="analytic", iterations=1,
                             memory_bytes=1024.0)
         result = Plumber(test_machine, spec=spec).optimize(pipe)
-        assert result.cache is None
+        assert result.caches == []

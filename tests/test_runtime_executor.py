@@ -136,9 +136,10 @@ class TestAutoGranularity:
             .build("opt_cache")
         )
         plumber = Plumber(test_machine,
-                          spec=OptimizeSpec(trace_duration=3.0,
+                          spec=OptimizeSpec(iterations=1,
+                                            trace_duration=3.0,
                                             trace_warmup=0.5))
-        result = plumber.optimize(pipe, iterations=1)
+        result = plumber.optimize(pipe)
         assert existing_cache(result.pipeline) is not None
         sim = run_pipeline(result.pipeline, test_machine, duration=3.0,
                            warmup=0.5)

@@ -156,6 +156,22 @@ class TestLifecycle:
             assert status == 400, body
             assert "error" in payload
 
+    def test_spec_key_mismatch_400(self, daemon, small_catalog,
+                                   test_machine):
+        """An unknown or missing spec key answers 400 naming the key, in
+        the batch spec and in a per-job spec alike."""
+        job = _job_body("x", small_pipeline(small_catalog), test_machine)
+        stale = dict(FAST_SPEC.to_dict(), allocate_remaining=False)
+        partial = FAST_SPEC.to_dict()
+        del partial["iterations"]
+        for spec, key in ((stale, "allocate_remaining"),
+                          (partial, "iterations")):
+            for body in ({"jobs": [job], "spec": spec},
+                         {"jobs": [dict(job, spec=spec)]}):
+                status, payload, _ = _post(f"{daemon.url}/optimize", body)
+                assert status == 400, body
+                assert key in payload["error"]
+
     def test_invalid_json_400(self, daemon):
         req = urllib.request.Request(
             f"{daemon.url}/optimize", data=b"{not json", method="POST")

@@ -46,9 +46,8 @@ def _traces(workload_name, machine, parallelism=4):
     pipe = MICROBENCH_WORKLOADS[workload_name].build(
         scale=0.01, parallelism=parallelism
     )
-    plumber = Plumber(machine)
-    sim = plumber.trace(pipe)
-    ana = plumber.trace(pipe, backend="analytic")
+    sim = Plumber(machine).trace(pipe)
+    ana = Plumber(machine, spec=OptimizeSpec(backend="analytic")).trace(pipe)
     return sim, ana
 
 
@@ -86,9 +85,10 @@ class TestSeedWorkloadParity:
 class TestOptimizeParity:
     def test_full_optimize_agrees_on_resnet(self, machine):
         pipe = MICROBENCH_WORKLOADS["resnet"].build(scale=0.01)
-        sim = Plumber(machine).optimize(pipe, iterations=1)
-        ana = Plumber(machine, spec=OptimizeSpec(backend="analytic")).optimize(
-            pipe, iterations=1)
+        spec = OptimizeSpec(iterations=1)
+        sim = Plumber(machine, spec=spec).optimize(pipe)
+        ana = Plumber(machine, spec=spec.replace(backend="analytic")).optimize(
+            pipe)
         assert ana.bottleneck == sim.bottleneck
         assert ana.model.observed_throughput == pytest.approx(
             sim.model.observed_throughput, rel=THROUGHPUT_TOLERANCE
