@@ -50,16 +50,10 @@ def tainted_nodes(pipeline: Pipeline) -> Set[str]:
     following it" (§B.1).
     """
     tainted: Set[str] = set()
-
-    def visit(node: DatasetNode) -> bool:
-        # Materialize before any(): lazy short-circuiting would skip the
-        # remaining branches of a merge node, leaving their random UDFs
-        # untainted.
-        child_flags = [visit(c) for c in node.inputs]
-        is_tainted = any(child_flags) or node_is_random(node)
-        if is_tainted:
+    # Sources first, so every branch of a merge is decided before it.
+    for node in pipeline.topological_order():
+        if node_is_random(node) or any(
+            c.name in tainted for c in node.inputs
+        ):
             tainted.add(node.name)
-        return is_tainted
-
-    visit(pipeline.root)
     return tainted

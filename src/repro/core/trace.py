@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.graph.datasets import Pipeline
 from repro.graph.serialize import pipeline_from_dict, pipeline_to_dict
@@ -83,12 +83,18 @@ class PipelineTrace:
     root_throughput: float            # observed minibatches/second
     cpu_utilization: float = 0.0
     backend: str = "simulate"         # how the trace was acquired
+    #: the traced pipeline itself, for a trace made in this process
+    #: (``None`` after :meth:`from_json`); not part of the artifact
+    traced: Optional[Pipeline] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def from_run(cls, result: RunResult) -> "PipelineTrace":
         """Build a trace from a simulated run."""
         return cls(
             program=pipeline_to_dict(result.pipeline),
+            traced=result.pipeline,
             stats=result.stats,
             host=HostInfo.from_machine(result.machine),
             measured_seconds=result.measured_seconds,
@@ -98,7 +104,10 @@ class PipelineTrace:
         )
 
     def pipeline(self) -> Pipeline:
-        """Rebuild the traced pipeline (it is a valid program, §4.2)."""
+        """The traced pipeline: the one traced in this process, else
+        rebuilt from ``program`` (it is a valid program, §4.2)."""
+        if self.traced is not None:
+            return self.traced
         return pipeline_from_dict(self.program)
 
     # ------------------------------------------------------------------

@@ -20,7 +20,13 @@ paper's five MLPerf pipelines (Figure 1, Figure 2, §2.1):
   consumer, but merge nodes pull from two or more child subgraphs
   (image+caption multimodal, RL replay-buffer mixing).
 
-Nodes are immutable-ish descriptors; execution state lives in
+A :class:`Pipeline` is a snapshot of its graph's *structure*: which
+nodes it holds and how they connect are indexed once, when it is built.
+Node attributes that are not structure (parallelism above all) may be
+changed in place, as :func:`repro.core.rewriter.set_parallelism` does on
+its clone. Changing structure — a node's ``inputs``, a node's name, the
+root — means building a new :class:`Pipeline`, as the rewriter's
+``insert_after`` and ``remove_node`` do. Execution state lives in
 :mod:`repro.runtime`.
 """
 
@@ -583,80 +589,116 @@ class Pipeline:
     :class:`BatchNode` is present). Iteration order in
     :meth:`topological_order` is sources-first, root-last, matching the
     direction of the byte-accounting recurrence in §A.
+
+    A pipeline is a snapshot of its graph's structure. The constructor
+    walks the graph once and indexes it: the pre-order and sources-first
+    node orders, the name → node map, each node's consumer, and the
+    nodes below a cache. Every structural query reads that index, so
+    none walks the graph again. Values that are not structure, such as a
+    node's parallelism, are never indexed and may be changed in place;
+    changing structure means building a new ``Pipeline``.
     """
 
     def __init__(self, root: DatasetNode, name: str = "pipeline") -> None:
         self.root = root
         self.name = name
-        self._check_unique_names()
+        self._index()
 
     # ------------------------------------------------------------------
-    def _check_unique_names(self) -> None:
-        seen: Dict[str, DatasetNode] = {}
-        for node in self.iter_nodes():
-            if node.name in seen and seen[node.name] is not node:
-                raise ValueError(f"duplicate node name {node.name!r} in pipeline")
-            seen[node.name] = node
+    def _index(self) -> None:
+        """Walk the graph once, depth first with inputs in order; raise
+        on duplicate names."""
+        root = self.root
+        order: List[DatasetNode] = []
+        names: Dict[str, DatasetNode] = {root.name: root}
+        parents: Dict[str, DatasetNode] = {}
+        cycle: Optional[DatasetNode] = None
+        entered = {id(root)}
+        walk = [(root, iter(root.inputs))]
+        while walk:
+            node, children = walk[-1]
+            for child in children:
+                if id(child) not in entered:
+                    if names.setdefault(child.name, child) is not child:
+                        raise ValueError(
+                            f"duplicate node name {child.name!r} in pipeline"
+                        )
+                    parents[child.name] = node
+                    entered.add(id(child))
+                    walk.append((child, iter(child.inputs)))
+                    break
+                # Met again: a shared node, or a cycle if still on the
+                # walk's path. Neither occurs in a valid pipeline.
+                if cycle is None and any(n is child for n, _ in walk):
+                    cycle = child
+            else:
+                walk.pop()
+                order.append(node)
+
+        # On an in-tree the reversed post-order is the root-first
+        # pre-order that visits the last input first.
+        preorder = order[::-1]
+        below: set = set()
+        for node in preorder:
+            if isinstance(node, CacheNode):
+                pending = list(node.inputs)
+                while pending:
+                    child = pending.pop()
+                    if child.name not in below:
+                        below.add(child.name)
+                        pending.extend(child.inputs)
+
+        self._preorder = tuple(preorder)
+        self._order = tuple(order)
+        self._sources = tuple(
+            n for n in order if isinstance(n, InterleaveSourceNode)
+        )
+        self._by_name = {n.name: n for n in preorder}
+        self._parents = parents
+        self._below_cache = frozenset(below)
+        self._cycle = cycle
 
     def iter_nodes(self) -> Iterator[DatasetNode]:
-        """Yield nodes root-first (pre-order)."""
-        stack = [self.root]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            stack.extend(node.inputs)
+        """Yield nodes root-first: :meth:`topological_order` reversed,
+        which on an in-tree is the pre-order visiting last inputs
+        first."""
+        return iter(self._preorder)
 
     def topological_order(self) -> List[DatasetNode]:
         """Nodes ordered sources-first (children before parents)."""
-        order: List[DatasetNode] = []
-        seen = set()
+        return list(self._order)
 
-        def visit(node: DatasetNode) -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.inputs:
-                visit(child)
-            order.append(node)
-
-        visit(self.root)
-        return order
+    @property
+    def cycle_entry(self) -> Optional[DatasetNode]:
+        """The first node the sources-first walk reached again while it
+        was still on the walk's path (``None`` for an acyclic graph)."""
+        return self._cycle
 
     @property
     def nodes(self) -> Dict[str, DatasetNode]:
         """Name → node mapping."""
-        return {n.name: n for n in self.iter_nodes()}
+        return dict(self._by_name)
 
     def node(self, name: str) -> DatasetNode:
         """Look up a node by name, raising ``KeyError`` with context."""
-        nodes = self.nodes
-        if name not in nodes:
+        node = self._by_name.get(name)
+        if node is None:
             raise KeyError(
-                f"no node named {name!r}; have {sorted(nodes)}"
+                f"no node named {name!r}; have {sorted(self._by_name)}"
             )
-        return nodes[name]
+        return node
 
     def sources(self) -> List[InterleaveSourceNode]:
         """All source nodes, sources-first order."""
-        return [
-            n for n in self.topological_order() if isinstance(n, InterleaveSourceNode)
-        ]
+        return list(self._sources)
 
     def tunables(self) -> List[DatasetNode]:
         """Nodes whose parallelism a tuner may rewrite."""
-        return [n for n in self.topological_order() if n.tunable]
+        return [n for n in self._order if n.tunable]
 
     def parent_of(self, name: str) -> Optional[DatasetNode]:
         """The unique consumer of node ``name`` (``None`` for the root)."""
-        for node in self.iter_nodes():
-            for child in node.inputs:
-                if child.name == name:
-                    return node
-        return None
+        return self._parents.get(name)
 
     def visit_ratios(self) -> Dict[str, float]:
         """Structural visit ratios V_i (root units per node element).
@@ -667,16 +709,13 @@ class Pipeline:
         state (tested).
         """
         ratios: Dict[str, float] = {self.root.name: 1.0}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        for node in self._preorder:
             v_parent = ratios[node.name]
             for i, child in enumerate(node.inputs):
                 # The parent consumes ``input_consumption(i)`` elements
                 # from input ``i`` per element it produces — 1/ratio for
                 # chain operators, per-branch for merges.
                 ratios[child.name] = v_parent * node.input_consumption(i)
-                stack.append(child)
         return ratios
 
     def batch_size(self) -> int:
@@ -686,23 +725,23 @@ class Pipeline:
         At a zip the branch contributions *add* (one output carries one
         element from every branch); at an interleave they mix by weight.
         """
-
-        def examples(node: DatasetNode) -> float:
+        examples: Dict[int, float] = {}
+        for node in self._order:
             if not node.inputs:
-                return 1.0
-            if isinstance(node, ZipNode):
-                return sum(examples(c) for c in node.inputs)
-            if isinstance(node, InterleaveDatasetsNode):
-                return sum(
-                    w * examples(c)
+                count = 1.0
+            elif isinstance(node, ZipNode):
+                count = sum(examples[id(c)] for c in node.inputs)
+            elif isinstance(node, InterleaveDatasetsNode):
+                count = sum(
+                    w * examples[id(c)]
                     for w, c in zip(node.weights, node.inputs)
                 )
-            per_input = examples(node.inputs[0])
-            if isinstance(node, BatchNode):
-                return per_input * node.batch_size
-            return per_input
-
-        return max(1, int(round(examples(self.root))))
+            else:
+                count = examples[id(node.inputs[0])]
+                if isinstance(node, BatchNode):
+                    count *= node.batch_size
+            examples[id(node)] = count
+        return max(1, int(round(examples[id(self.root)])))
 
     def below_cache_names(self) -> set:
         """Names of nodes strictly below any :class:`CacheNode` — the
@@ -710,24 +749,13 @@ class Pipeline:
         (the paper's post-first-epoch regime). Shared by the LP, the
         steady-state model, and the analytic trace backend so the three
         never disagree on which nodes are free."""
-        names: set = set()
-        for node in self.iter_nodes():
-            if isinstance(node, CacheNode):
-                stack = list(node.inputs)
-                while stack:
-                    child = stack.pop()
-                    names.add(child.name)
-                    stack.extend(child.inputs)
-        return names
+        return set(self._below_cache)
 
     def clone(self) -> "Pipeline":
         """Deep-copy the node structure (UDFs/catalogs shared)."""
         mapping: Dict[int, DatasetNode] = {}
-
-        def copy(node: DatasetNode) -> DatasetNode:
-            if id(node) in mapping:
-                return mapping[id(node)]
-            new_inputs = [copy(c) for c in node.inputs]
+        for node in self._order:
+            new_inputs = [mapping[id(c)] for c in node.inputs]
             if len(new_inputs) > 1:
                 clone = node.copy_with(input_nodes=new_inputs)
             elif new_inputs:
@@ -736,33 +764,50 @@ class Pipeline:
             else:
                 clone = node.copy_with()
             mapping[id(node)] = clone
-            return clone
+        return Pipeline(mapping[id(self.root)], name=self.name)
 
-        return Pipeline(copy(self.root), name=self.name)
-
-    def _render_chain(self, node: DatasetNode) -> str:
+    def _render_chain(self) -> str:
         """Root-first ``a <- b`` rendering; merge branches bracketed as
         ``merge <- [branch_a | branch_b]`` so fan-in is visible instead
         of being flattened into a misleading linear chain."""
-        if not node.inputs:
-            return node.name
-        if len(node.inputs) == 1:
-            return f"{node.name} <- {self._render_chain(node.inputs[0])}"
-        branches = " | ".join(self._render_chain(c) for c in node.inputs)
-        return f"{node.name} <- [{branches}]"
+        parts: List[str] = []
+        shown = set()
+        pending: list = [self.root]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            if not item.inputs or id(item) in shown:
+                parts.append(item.name)
+                continue
+            shown.add(id(item))
+            if len(item.inputs) == 1:
+                parts.append(f"{item.name} <- ")
+                pending.append(item.inputs[0])
+            else:
+                parts.append(f"{item.name} <- [")
+                pending.append("]")
+                for i, child in enumerate(reversed(item.inputs)):
+                    if i:
+                        pending.append(" | ")
+                    pending.append(child)
+        return "".join(parts)
 
     def describe(self) -> str:
         """Multi-line indented tree of the graph, root-first."""
         lines: List[str] = []
-
-        def visit(node: DatasetNode, depth: int) -> None:
+        shown = set()
+        pending = [(self.root, 0)]
+        while pending:
+            node, depth = pending.pop()
+            if id(node) in shown:
+                continue
+            shown.add(id(node))
             par = f" x{node.effective_parallelism}" if node.tunable else ""
             lines.append(f"{'  ' * depth}{node.name} [{node.kind}{par}]")
-            for child in node.inputs:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+            pending.extend((c, depth + 1) for c in reversed(node.inputs))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"Pipeline({self.name!r}: {self._render_chain(self.root)})"
+        return f"Pipeline({self.name!r}: {self._render_chain()})"

@@ -8,7 +8,7 @@ tunables, batch-after-batch of minibatches, and cache-above-repeat
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.graph.datasets import (
     BatchNode,
@@ -33,90 +33,106 @@ def validate_pipeline(pipeline: Pipeline) -> None:
       variadic merge nodes),
     * the graph is a rooted in-tree: no node feeds two consumers
       (fan-in via zip/interleave is allowed, fan-out is not),
-    * no cycles (topological order covers all reachable nodes),
+    * no cycles (the pipeline's sources-first walk never re-enters a
+      node on its own path, :attr:`Pipeline.cycle_entry`),
     * unique node names,
     * parallelism >= 1 on tunable nodes when set,
     * no cache above an unbounded repeat or shuffle_and_repeat.
     """
     errors: List[str] = []
-    order = pipeline.topological_order()
-
-    names = [n.name for n in order]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        errors.append(f"duplicate node names: {dupes}")
-
-    sources = [n for n in order if isinstance(n, InterleaveSourceNode)]
-    if not sources:
-        errors.append("pipeline has no source node")
-
-    for node in order:
-        if node.input_arity is None:
-            if len(node.inputs) < 2:
-                errors.append(
-                    f"merge node {node.name!r} needs at least 2 inputs, "
-                    f"has {len(node.inputs)}"
-                )
-        elif len(node.inputs) != node.input_arity:
-            what = "no inputs" if node.input_arity == 0 else (
-                f"exactly {node.input_arity} input"
-                + ("s" if node.input_arity != 1 else "")
-            )
-            errors.append(
-                f"node {node.name!r} must have {what}, "
-                f"has {len(node.inputs)}"
-            )
-        if isinstance(node, InterleaveSourceNode) and node.input_arity != 0:
-            errors.append(f"source {node.name!r} must declare input_arity 0")
-        if node.tunable and node.parallelism is not None and node.parallelism == 0:
-            errors.append(f"node {node.name!r} has parallelism 0")
+    # One pass, sources first. Each check keeps its own list so the
+    # messages come out grouped in the order they always have.
+    names: set = set()
+    dupes: set = set()
+    has_source = False
+    node_errors: List[str] = []
+    consumers: Dict[int, list] = {}
+    # ids of the nodes whose stream is unbounded: an unbounded repeat at
+    # or below them (sources first, so children are decided first)
+    unbounded: set = set()
+    cache_errors: List[str] = []
+    for node in pipeline.topological_order():
+        if node.name in names:
+            dupes.add(node.name)
+        names.add(node.name)
+        has_source = has_source or isinstance(node, InterleaveSourceNode)
+        _check_node(node, node_errors)
+        infinite = (
+            (isinstance(node, RepeatNode) and node.count is None)
+            or node.kind == "shuffle_and_repeat"
+        )
+        for child in node.inputs:
+            consumers.setdefault(id(child), []).append((child, node))
+            infinite = infinite or id(child) in unbounded
+        if infinite:
+            unbounded.add(id(node))
         if (
-            node.tunable
-            and node.parallelism is not None
-            and node.parallelism < -1
+            isinstance(node, CacheNode)
+            and node.inputs
+            and id(node.inputs[0]) in unbounded
         ):
-            errors.append(
-                f"node {node.name!r} has invalid parallelism {node.parallelism}"
+            # A cache must not materialize an already-infinite stream.
+            cache_errors.append(
+                f"cache {node.name!r} placed above an unbounded repeat; "
+                "it would materialize an infinite stream"
             )
 
-    _check_cycles(pipeline, errors)
-    _check_single_consumer(order, errors)
-    _check_cache_above_repeat(order, errors)
+    if dupes:
+        errors.append(f"duplicate node names: {sorted(dupes)}")
+    if not has_source:
+        errors.append("pipeline has no source node")
+    errors.extend(node_errors)
+    if pipeline.cycle_entry is not None:
+        errors.append(
+            f"cycle detected through node {pipeline.cycle_entry.name!r}"
+        )
+    _check_single_consumer(consumers, errors)
+    errors.extend(cache_errors)
 
     if errors:
         raise GraphValidationError("; ".join(errors))
 
 
-def _check_cycles(pipeline: Pipeline, errors: List[str]) -> None:
-    visiting: set = set()
-    done: set = set()
+def _check_node(node: DatasetNode, errors: List[str]) -> None:
+    """Input arity and parallelism of one node."""
+    if node.input_arity is None:
+        if len(node.inputs) < 2:
+            errors.append(
+                f"merge node {node.name!r} needs at least 2 inputs, "
+                f"has {len(node.inputs)}"
+            )
+    elif len(node.inputs) != node.input_arity:
+        what = "no inputs" if node.input_arity == 0 else (
+            f"exactly {node.input_arity} input"
+            + ("s" if node.input_arity != 1 else "")
+        )
+        errors.append(
+            f"node {node.name!r} must have {what}, "
+            f"has {len(node.inputs)}"
+        )
+    if isinstance(node, InterleaveSourceNode) and node.input_arity != 0:
+        errors.append(f"source {node.name!r} must declare input_arity 0")
+    if node.tunable and node.parallelism is not None and node.parallelism == 0:
+        errors.append(f"node {node.name!r} has parallelism 0")
+    if (
+        node.tunable
+        and node.parallelism is not None
+        and node.parallelism < -1
+    ):
+        errors.append(
+            f"node {node.name!r} has invalid parallelism {node.parallelism}"
+        )
 
-    def visit(node: DatasetNode) -> bool:
-        if id(node) in done:
-            return True
-        if id(node) in visiting:
-            errors.append(f"cycle detected through node {node.name!r}")
-            return False
-        visiting.add(id(node))
-        ok = all(visit(c) for c in node.inputs)
-        visiting.discard(id(node))
-        done.add(id(node))
-        return ok
 
-    visit(pipeline.root)
-
-
-def _check_single_consumer(order: List[DatasetNode], errors: List[str]) -> None:
+def _check_single_consumer(consumers: Dict[int, list],
+                           errors: List[str]) -> None:
     """The graph must be a rooted in-tree: merges fan *in*, never out.
 
     A node feeding two consumers would need its stream duplicated (or
     split) at execution time, which none of the backends model; zip and
-    interleave merge *distinct* subgraphs.
+    interleave merge *distinct* subgraphs. ``consumers`` maps each
+    child's id to its ``(child, consumer)`` edges.
     """
-    consumers: dict = {}
-    for node in order:
-        for child in node.inputs:
-            consumers.setdefault(id(child), []).append((child, node))
     for entries in consumers.values():
         if len(entries) > 1:
             child = entries[0][0]
@@ -125,24 +141,6 @@ def _check_single_consumer(order: List[DatasetNode], errors: List[str]) -> None:
                 f"node {child.name!r} feeds {len(entries)} consumers "
                 f"({parents}); pipelines must be in-trees — merge "
                 "distinct subgraphs instead of sharing one"
-            )
-
-
-def _check_cache_above_repeat(order: List[DatasetNode], errors: List[str]) -> None:
-    """A cache must not materialize an already-infinite stream."""
-
-    def subtree_infinite(node: DatasetNode) -> bool:
-        if isinstance(node, RepeatNode) and node.count is None:
-            return True
-        if node.kind == "shuffle_and_repeat":
-            return True
-        return any(subtree_infinite(c) for c in node.inputs)
-
-    for node in order:
-        if isinstance(node, CacheNode) and subtree_infinite(node.inputs[0]):
-            errors.append(
-                f"cache {node.name!r} placed above an unbounded repeat; "
-                "it would materialize an infinite stream"
             )
 
 

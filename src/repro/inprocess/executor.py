@@ -305,6 +305,7 @@ def trace_real_run(
         tracer.for_node(node)
     return PipelineTrace(
         program=pipeline_to_dict(pipeline),
+        traced=pipeline,
         stats=tracer.stats,
         host=HostInfo.from_machine(machine),
         measured_seconds=elapsed,

@@ -11,6 +11,7 @@ statistical claim to reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence
 
 import numpy as np
@@ -103,7 +104,9 @@ class FileCatalog:
 
     @property
     def files(self) -> Sequence[FileStat]:
-        """All file stats (generated lazily, cached)."""
+        """All file stats (generated lazily, cached; never changed, so
+        :attr:`total_bytes` and :attr:`total_records` are computed
+        once)."""
         if self._files is None:
             self._files = self._generate()
         return self._files
@@ -115,12 +118,12 @@ class FileCatalog:
         return iter(self.files)
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def total_bytes(self) -> float:
         """Exact dataset size in bytes (ground truth for §5.3)."""
         return float(sum(f.size_bytes for f in self.files))
 
-    @property
+    @cached_property
     def total_records(self) -> int:
         """Exact record count (ImageNet: ~1.2M)."""
         return int(sum(f.num_records for f in self.files))

@@ -368,7 +368,7 @@ def _epoch_root_elements(pipeline: Pipeline, models: List[_NodeModel]) -> float:
     ratios = {m.node.name: m.visit for m in models}
     per_epoch = math.inf
     for source in pipeline.sources():
-        records = sum(f.num_records for f in source.catalog.files)
+        records = source.catalog.total_records
         v = ratios[source.name]
         if v > 0:
             per_epoch = min(per_epoch, records / v)
@@ -427,8 +427,7 @@ def _trace_from(
     subtrees = _cache_subtrees(models)
     visits = {m.node.name: m.visit for m in models}
     source_records = {
-        s.name: sum(f.num_records for f in s.catalog.files)
-        for s in pipeline.sources()
+        s.name: s.catalog.total_records for s in pipeline.sources()
     }
     populate_at: Dict[str, float] = {}
     for cache_name, below in subtrees.items():
@@ -600,6 +599,7 @@ def _trace_from(
 
     return PipelineTrace(
         program=pipeline_to_dict(pipeline),
+        traced=pipeline,
         stats=stats,
         host=HostInfo.from_machine(machine),
         measured_seconds=measured,
