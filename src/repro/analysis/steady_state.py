@@ -91,12 +91,6 @@ def node_service(node: DatasetNode, machine: Machine) -> tuple:
     return 0.0, 0.0
 
 
-def _consumption_ratios(pipeline: Pipeline) -> Dict[str, float]:
-    """Elements each node *consumes* per root element (for batch nodes the
-    stage-capacity unit is outputs; see caller)."""
-    return pipeline.visit_ratios()
-
-
 def predict_throughput(
     pipeline: Pipeline,
     machine: Machine,

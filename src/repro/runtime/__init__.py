@@ -10,7 +10,6 @@ CPU-time, bytes — "less than 144 bytes per Dataset").
 from repro.runtime.engine import Simulation
 from repro.runtime.executor import (
     DEFAULT_EVENT_BUDGET,
-    BenchmarkConsumer,
     ModelConsumer,
     RunConfig,
     RunResult,
@@ -33,7 +32,6 @@ from repro.runtime.backends import (
 
 __all__ = [
     "AnalyticBackend",
-    "BenchmarkConsumer",
     "DEFAULT_EVENT_BUDGET",
     "ModelConsumer",
     "NodeStats",

@@ -33,8 +33,7 @@ Two transients are corrected explicitly rather than simulated away:
   of the same window observes.
 
 Wallclock cost is O(nodes) per trace, independent of element rate —
-this is what makes µs-cost NLP jobs and whole-fleet optimization cheap
-(ROADMAP items 2 and 3).
+this is what makes µs-cost NLP jobs and whole-fleet optimization cheap.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ def _build_node_models(
     overhead: float,
     granularity: int,
 ) -> List[_NodeModel]:
-    """Per-node closed-form costs, mirroring the worker generators in
-    :mod:`repro.runtime.iterators` (same accounting, no events)."""
+    """Per-node closed-form costs, mirroring the simulator's workers in
+    :mod:`repro.runtime.vector` (same accounting, no events)."""
     ratios = pipeline.visit_ratios()
     below = pipeline.below_cache_names()
     penalty = _penalty_factor(machine, _total_threads(pipeline))

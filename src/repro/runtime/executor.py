@@ -40,18 +40,12 @@ from repro.runtime.stats import NodeStats, StatsBoard
 
 
 @dataclass
-class BenchmarkConsumer:
-    """Pulls as fast as possible (microbenchmark mode, §5.1)."""
-
-    step_seconds_per_element: float = 0.0
-
-
-@dataclass
 class ModelConsumer:
     """Pulls at the model's training-step rate (end-to-end mode, §5.4).
 
     ``step_seconds_per_element`` is seconds of accelerator time per root
-    element (minibatch).
+    element (minibatch); ``0.0`` pulls as fast as possible
+    (microbenchmark mode, §5.1), the default.
     """
 
     step_seconds_per_element: float
@@ -69,7 +63,8 @@ class RunConfig:
     warmup: float = 1.0
     trace: bool = True
     granularity: Optional[int] = None
-    consumer: object = field(default_factory=BenchmarkConsumer)
+    consumer: ModelConsumer = field(
+        default_factory=lambda: ModelConsumer(0.0))
     epochs: Optional[float] = None
     #: cap on simulation events per run when ``granularity`` is unset;
     #: the auto-tuner coarsens chunks until the estimate fits

@@ -1,4 +1,4 @@
-"""The pipeline workers: one compiled state machine per dataset operator.
+"""The pipeline workers: compiled state machines for the dataset operators.
 
 Every worker follows the same shape per chunk:
 
@@ -7,6 +7,13 @@ Every worker follows the same shape per chunk:
    core, and is invisible to CPU-time tracing; see Fig. 9 / §C.3),
 3. pay CPU cost (a core-scheduler request — visible to tracing),
 4. put downstream (blocked time = downstream backpressure).
+
+One class, :class:`_Worker`, runs that loop for every single-input
+stage — map, filter, batch, shuffle (and shuffle_and_repeat), repeat
+and prefetch — with what differs per kind bound once at construction.
+Sources, take, cache, zip and interleave have loops of another shape
+(file reads, an early end, a populate-then-serve pass, several inputs)
+and keep a class each.
 
 A worker is an object whose continuations (``k_*`` slots) are bound once
 at construction; each step calls the next resource with the continuation
@@ -69,9 +76,10 @@ _push = heapq.heappush
 
 
 # ----------------------------------------------------------------------
-# Worker tasks. Queues and cores receive the continuation *callable* to
-# wake — ``q._put(self.k_after_put, item)`` — so no ``.resume``
-# attribute is read per wake. Only the disk still wakes through
+# Worker tasks: the source streams, the single-input _Worker, then take,
+# cache, zip and interleave. Queues and cores receive the continuation
+# *callable* to wake — ``q._put(self.k_after_put, item)`` — so no
+# ``.resume`` attribute is read per wake. Only the disk still wakes through
 # ``task.resume``, so the ``resume`` slot is kept and set before every
 # disk call. Continuations are bound once in __init__ (``k_*`` slots) so
 # parking a task is an attribute copy, not a bound-method allocation;
@@ -204,199 +212,28 @@ class _SourceTask:
         self._chunk_loop()
 
 
-class _MapTask:
-    """Apply a UDF chunk-wise: cost, size, and count transforms."""
+class _Worker:
+    """One worker of a single-input stage: map, filter, batch, shuffle
+    (and shuffle_and_repeat), repeat or prefetch.
+
+    Every kind runs the same loop — get, pay overhead, pay CPU, put —
+    and differs only in what is bound in ``__init__``: the CPU seconds
+    and core width per element, the ``emit`` step that turns the input
+    chunk into the output chunk (forward, map, filter or batch), and,
+    for batch, an ``_on_item`` that charges overhead per *output*
+    element (one Next per batch). A kind without CPU cost wakes
+    ``emit`` straight from the overhead timer. ``emit`` stores the
+    output chunk in ``item``, so ``_after_put`` reads one slot for every
+    kind. It is one class rather than a base with subclasses: CPython
+    specializes attribute and method lookups per call site for a single
+    type, and methods shared across several types lose that.
+    """
 
     __slots__ = (
         "resume", "sim", "stats", "state", "in_get", "out_put",
-        "cores_submit", "cpu_seconds", "width", "ratio", "fixed_out",
-        "size_ratio", "ov", "core_speed", "penalty", "item", "svc",
-        "out", "k_on_item", "k_after_overhead", "k_after_compute",
-        "k_after_put",
-    )
-
-    def __init__(self, node, in_q, out_q, state, ctx, stats):
-        sim = ctx.sim
-        self.sim = sim
-        self.stats = stats
-        self.state = state
-        self.in_get = in_q._get
-        self.out_put = out_q._put
-        self.cores_submit = sim.cores.submit
-        udf = node.udf
-        self.cpu_seconds = udf.cost.cpu_seconds
-        self.width = udf.cost.internal_parallelism
-        self.ratio = udf.examples_ratio
-        out_b = udf.output_bytes
-        self.fixed_out = float(out_b) if out_b is not None else None
-        self.size_ratio = udf.size_ratio
-        self.ov = ctx.overhead_per_element
-        self.core_speed = ctx.machine.core_speed
-        self.penalty = ctx.penalty
-        self.k_on_item = self._on_item
-        self.k_after_overhead = self._after_overhead
-        self.k_after_compute = self._after_compute
-        self.k_after_put = self._after_put
-        self.resume = self.start
-
-    def start(self, value=None):
-        self.in_get(self.k_on_item)
-
-    def _on_item(self, item):
-        if item is EOS:
-            self.state.worker_done()
-            return
-        count = item[0]
-        self.stats.elements_consumed += count
-        self.item = item
-        o = self.ov * count
-        if o > 0:
-            self.stats.overhead_seconds += o
-            sim = self.sim
-            t = sim.now + o
-            if t <= sim.now:
-                sim._collapsed(self.k_after_overhead, ())
-            else:
-                sim._seq += 1
-                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
-            return
-        self._after_overhead()
-
-    def _after_overhead(self, value=None):
-        if self.cpu_seconds > 0:
-            svc = self.cpu_seconds * self.item[0] / self.core_speed
-            self.svc = svc
-            self.cores_submit(self.k_after_compute, svc, self.width)
-            return
-        self._emit()
-
-    def _after_compute(self, value=None):
-        self.stats.cpu_core_seconds += self.svc * self.width * self.penalty
-        self._emit()
-
-    def _emit(self):
-        item = self.item
-        count = item[0]
-        out_count = count * self.ratio
-        # udf.output_size(item.bytes_per_element), properties unrolled
-        bpe = item[1] / count if count > 0 else 0.0
-        fixed = self.fixed_out
-        ob = fixed if fixed is not None else bpe * self.size_ratio
-        out_bytes = ob * out_count
-        if out_count > 0:
-            out = (out_count, out_bytes)
-            self.out = out
-            self.out_put(self.k_after_put, out)
-            return
-        self.in_get(self.k_on_item)
-
-    def _after_put(self, value=None):
-        out = self.out
-        st = self.stats
-        now = self.sim.now
-        st.elements_produced += out[0]
-        st.bytes_produced += out[1]
-        if st.first_output_time is None:
-            st.first_output_time = now
-        st.last_output_time = now
-        self.in_get(self.k_on_item)
-
-
-class _FilterTask:
-    """Sequential predicate: pays CPU on every input, keeps a fraction."""
-
-    __slots__ = (
-        "resume", "sim", "stats", "state", "in_get", "out_put",
-        "cores_submit", "cpu_seconds", "keep", "ov", "core_speed",
-        "penalty", "item", "svc", "out", "k_on_item", "k_after_overhead",
-        "k_after_compute", "k_after_put",
-    )
-
-    def __init__(self, node, in_q, out_q, state, ctx, stats):
-        sim = ctx.sim
-        self.sim = sim
-        self.stats = stats
-        self.state = state
-        self.in_get = in_q._get
-        self.out_put = out_q._put
-        self.cores_submit = sim.cores.submit
-        self.cpu_seconds = node.udf.cost.cpu_seconds
-        self.keep = node.keep_fraction
-        self.ov = ctx.overhead_per_element
-        self.core_speed = ctx.machine.core_speed
-        self.penalty = ctx.penalty
-        self.k_on_item = self._on_item
-        self.k_after_overhead = self._after_overhead
-        self.k_after_compute = self._after_compute
-        self.k_after_put = self._after_put
-        self.resume = self.start
-
-    def start(self, value=None):
-        self.in_get(self.k_on_item)
-
-    def _on_item(self, item):
-        if item is EOS:
-            self.state.worker_done()
-            return
-        count = item[0]
-        self.stats.elements_consumed += count
-        self.item = item
-        o = self.ov * count
-        if o > 0:
-            self.stats.overhead_seconds += o
-            sim = self.sim
-            t = sim.now + o
-            if t <= sim.now:
-                sim._collapsed(self.k_after_overhead, ())
-            else:
-                sim._seq += 1
-                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
-            return
-        self._after_overhead()
-
-    def _after_overhead(self, value=None):
-        if self.cpu_seconds > 0:
-            svc = self.cpu_seconds * self.item[0] / self.core_speed
-            self.svc = svc
-            self.cores_submit(self.k_after_compute, svc, 1.0)
-            return
-        self._emit()
-
-    def _after_compute(self, value=None):
-        self.stats.cpu_core_seconds += self.svc * self.penalty
-        self._emit()
-
-    def _emit(self):
-        item = self.item
-        keep = self.keep
-        out_count = item[0] * keep
-        out_bytes = item[1] * keep
-        if out_count > 0:
-            out = (out_count, out_bytes)
-            self.out = out
-            self.out_put(self.k_after_put, out)
-            return
-        self.in_get(self.k_on_item)
-
-    def _after_put(self, value=None):
-        out = self.out
-        st = self.stats
-        now = self.sim.now
-        st.elements_produced += out[0]
-        st.bytes_produced += out[1]
-        if st.first_output_time is None:
-            st.first_output_time = now
-        st.last_output_time = now
-        self.in_get(self.k_on_item)
-
-
-class _BatchTask:
-    """Grouping: converts counts into minibatch units (count / B)."""
-
-    __slots__ = (
-        "resume", "sim", "stats", "state", "in_get", "out_put",
-        "cores_submit", "batch", "cpu_seconds", "ov", "core_speed",
-        "penalty", "item", "out_count", "svc", "out", "k_on_item",
+        "cores_submit", "cpu_seconds", "width", "ov", "core_speed",
+        "penalty", "ratio", "fixed_out", "size_ratio", "keep", "batch",
+        "item", "out_count", "svc", "emit", "k_on_item",
         "k_after_overhead", "k_after_compute", "k_after_put",
     )
 
@@ -408,15 +245,41 @@ class _BatchTask:
         self.in_get = in_q._get
         self.out_put = out_q._put
         self.cores_submit = sim.cores.submit
-        self.batch = node.batch_size
-        self.cpu_seconds = node.cpu_seconds_per_example
         self.ov = ctx.overhead_per_element
         self.core_speed = ctx.machine.core_speed
         self.penalty = ctx.penalty
+        self.width = 1.0
         self.k_on_item = self._on_item
-        self.k_after_overhead = self._after_overhead
         self.k_after_compute = self._after_compute
         self.k_after_put = self._after_put
+        if isinstance(node, MapNode):
+            udf = node.udf
+            cpu = udf.cost.cpu_seconds
+            self.width = udf.cost.internal_parallelism
+            self.ratio = udf.examples_ratio
+            out_b = udf.output_bytes
+            self.fixed_out = float(out_b) if out_b is not None else None
+            self.size_ratio = udf.size_ratio
+            self.emit = self._map
+        elif isinstance(node, FilterNode):
+            cpu = node.udf.cost.cpu_seconds
+            self.keep = node.keep_fraction
+            self.emit = self._filter
+        elif isinstance(node, BatchNode):
+            cpu = node.cpu_seconds_per_example
+            self.batch = node.batch_size
+            self.emit = self._batch
+            self.k_on_item = self._on_batch_item
+        else:
+            # Shuffle: a pass-through with a per-element CPU cost (order
+            # is irrelevant to the simulation); repeat and prefetch pay
+            # only overhead.
+            cpu = (node.cpu_seconds_per_element
+                   if isinstance(node, ShuffleNode) else 0.0)
+            self.emit = self._forward
+            self.k_after_compute = self._after_compute_forward
+        self.cpu_seconds = cpu
+        self.k_after_overhead = self._after_overhead if cpu > 0 else self.emit
         self.resume = self.start
 
     def start(self, value=None):
@@ -429,7 +292,26 @@ class _BatchTask:
         count = item[0]
         self.stats.elements_consumed += count
         self.item = item
-        # Overhead is paid per *output* element (one Next per batch).
+        o = self.ov * count
+        if o > 0:
+            self.stats.overhead_seconds += o
+            sim = self.sim
+            t = sim.now + o
+            if t <= sim.now:
+                sim._collapsed(self.k_after_overhead, ())
+            else:
+                sim._seq += 1
+                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
+            return
+        self.k_after_overhead()
+
+    def _on_batch_item(self, item):
+        if item is EOS:
+            self.state.worker_done()
+            return
+        count = item[0]
+        self.stats.elements_consumed += count
+        self.item = item
         out_count = count / self.batch
         self.out_count = out_count
         o = self.ov * out_count
@@ -443,158 +325,57 @@ class _BatchTask:
                 sim._seq += 1
                 _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
             return
-        self._after_overhead()
+        self.k_after_overhead()
 
     def _after_overhead(self, value=None):
-        if self.cpu_seconds > 0:
-            svc = self.cpu_seconds * self.item[0] / self.core_speed
-            self.svc = svc
-            self.cores_submit(self.k_after_compute, svc, 1.0)
-            return
-        self._emit()
+        svc = self.cpu_seconds * self.item[0] / self.core_speed
+        self.svc = svc
+        self.cores_submit(self.k_after_compute, svc, self.width)
 
     def _after_compute(self, value=None):
-        self.stats.cpu_core_seconds += self.svc * self.penalty
-        self._emit()
+        self.stats.cpu_core_seconds += self.svc * self.width * self.penalty
+        self.emit()
 
-    def _emit(self):
-        out = (self.out_count, self.item[1])
-        self.out = out
-        self.out_put(self.k_after_put, out)
-
-    def _after_put(self, value=None):
-        out = self.out
-        st = self.stats
-        now = self.sim.now
-        st.elements_produced += out[0]
-        st.bytes_produced += out[1]
-        if st.first_output_time is None:
-            st.first_output_time = now
-        st.last_output_time = now
-        self.in_get(self.k_on_item)
-
-
-class _ShuffleTask:
-    """Buffered shuffle: throughput-wise a sequential pass-through with a
-    per-element CPU cost (order is irrelevant to the simulation)."""
-
-    __slots__ = (
-        "resume", "sim", "stats", "state", "in_get", "out_put",
-        "cores_submit", "cpu_seconds", "ov", "core_speed", "penalty",
-        "item", "svc", "k_on_item", "k_after_overhead",
-        "k_after_compute", "k_after_put",
-    )
-
-    def __init__(self, node, in_q, out_q, state, ctx, stats):
-        sim = ctx.sim
-        self.sim = sim
-        self.stats = stats
-        self.state = state
-        self.in_get = in_q._get
-        self.out_put = out_q._put
-        self.cores_submit = sim.cores.submit
-        self.cpu_seconds = node.cpu_seconds_per_element
-        self.ov = ctx.overhead_per_element
-        self.core_speed = ctx.machine.core_speed
-        self.penalty = ctx.penalty
-        self.k_on_item = self._on_item
-        self.k_after_overhead = self._after_overhead
-        self.k_after_compute = self._after_compute
-        self.k_after_put = self._after_put
-        self.resume = self.start
-
-    def start(self, value=None):
-        self.in_get(self.k_on_item)
-
-    def _on_item(self, item):
-        if item is EOS:
-            self.state.worker_done()
-            return
-        count = item[0]
-        self.stats.elements_consumed += count
-        self.item = item
-        o = self.ov * count
-        if o > 0:
-            self.stats.overhead_seconds += o
-            sim = self.sim
-            t = sim.now + o
-            if t <= sim.now:
-                sim._collapsed(self.k_after_overhead, ())
-            else:
-                sim._seq += 1
-                _push(sim._heap, (t, sim._seq, self.k_after_overhead, ()))
-            return
-        self._after_overhead()
-
-    def _after_overhead(self, value=None):
-        if self.cpu_seconds > 0:
-            svc = self.cpu_seconds * self.item[0] / self.core_speed
-            self.svc = svc
-            self.cores_submit(self.k_after_compute, svc, 1.0)
-            return
+    def _after_compute_forward(self, value=None):
+        # _after_compute with the forward step unrolled: one call fewer
+        # per shuffled chunk
+        self.stats.cpu_core_seconds += self.svc * self.width * self.penalty
         self.out_put(self.k_after_put, self.item)
 
-    def _after_compute(self, value=None):
-        self.stats.cpu_core_seconds += self.svc * self.penalty
-        self.out_put(self.k_after_put, self.item)
-
-    def _after_put(self, value=None):
-        item = self.item
-        st = self.stats
-        now = self.sim.now
-        st.elements_produced += item[0]
-        st.bytes_produced += item[1]
-        if st.first_output_time is None:
-            st.first_output_time = now
-        st.last_output_time = now
-        self.in_get(self.k_on_item)
-
-
-class _PassthroughTask:
-    """Repeat / prefetch: forwards chunks, paying only overhead."""
-
-    __slots__ = (
-        "resume", "sim", "stats", "state", "in_get", "out_put", "ov",
-        "item", "k_on_item", "k_forward", "k_after_put",
-    )
-
-    def __init__(self, node, in_q, out_q, state, ctx, stats):
-        self.sim = ctx.sim
-        self.stats = stats
-        self.state = state
-        self.in_get = in_q._get
-        self.out_put = out_q._put
-        self.ov = ctx.overhead_per_element
-        self.k_on_item = self._on_item
-        self.k_forward = self._forward
-        self.k_after_put = self._after_put
-        self.resume = self.start
-
-    def start(self, value=None):
-        self.in_get(self.k_on_item)
-
-    def _on_item(self, item):
-        if item is EOS:
-            self.state.worker_done()
-            return
-        count = item[0]
-        self.stats.elements_consumed += count
-        self.item = item
-        o = self.ov * count
-        if o > 0:
-            self.stats.overhead_seconds += o
-            sim = self.sim
-            t = sim.now + o
-            if t <= sim.now:
-                sim._collapsed(self.k_forward, ())
-            else:
-                sim._seq += 1
-                _push(sim._heap, (t, sim._seq, self.k_forward, ()))
-            return
-        self._forward()
-
+    # -- emit steps: the input chunk in ``item`` becomes the output ------
     def _forward(self, value=None):
         self.out_put(self.k_after_put, self.item)
+
+    def _map(self, value=None):
+        item = self.item
+        count = item[0]
+        out_count = count * self.ratio
+        # udf.output_size(item.bytes_per_element), properties unrolled
+        bpe = item[1] / count if count > 0 else 0.0
+        fixed = self.fixed_out
+        ob = fixed if fixed is not None else bpe * self.size_ratio
+        if out_count > 0:
+            out = (out_count, ob * out_count)
+            self.item = out
+            self.out_put(self.k_after_put, out)
+            return
+        self.in_get(self.k_on_item)
+
+    def _filter(self, value=None):
+        item = self.item
+        keep = self.keep
+        out_count = item[0] * keep
+        if out_count > 0:
+            out = (out_count, item[1] * keep)
+            self.item = out
+            self.out_put(self.k_after_put, out)
+            return
+        self.in_get(self.k_on_item)
+
+    def _batch(self, value=None):
+        out = (self.out_count, self.item[1])
+        self.item = out
+        self.out_put(self.k_after_put, out)
 
     def _after_put(self, value=None):
         item = self.item
@@ -1160,26 +941,6 @@ def build_stage(
         state = StageState(out_q, 1)
         return [_InterleaveTask(node, list(in_qs), out_q, state, ctx, stats)]
     in_q = in_qs[0]
-    if isinstance(node, MapNode):
-        workers = node.effective_parallelism
-        state = StageState(out_q, workers)
-        return [
-            _MapTask(node, in_q, out_q, state, ctx, stats)
-            for _ in range(workers)
-        ]
-    if isinstance(node, BatchNode):
-        workers = node.effective_parallelism
-        state = StageState(out_q, workers)
-        return [
-            _BatchTask(node, in_q, out_q, state, ctx, stats)
-            for _ in range(workers)
-        ]
-    if isinstance(node, FilterNode):
-        state = StageState(out_q, 1)
-        return [_FilterTask(node, in_q, out_q, state, ctx, stats)]
-    if isinstance(node, ShuffleNode):  # includes ShuffleAndRepeatNode
-        state = StageState(out_q, 1)
-        return [_ShuffleTask(node, in_q, out_q, state, ctx, stats)]
     if isinstance(node, TakeNode):
         state = StageState(out_q, 1)
         return [_TakeTask(node, in_q, out_q, state, ctx, stats)]
@@ -1188,7 +949,14 @@ def build_stage(
         return [
             _CacheTask(node, in_q, out_q, state, ctx, stats, serve_epochs)
         ]
-    if isinstance(node, (RepeatNode, PrefetchNode)):
-        state = StageState(out_q, 1)
-        return [_PassthroughTask(node, in_q, out_q, state, ctx, stats)]
+    if isinstance(node, (MapNode, FilterNode, BatchNode, ShuffleNode,
+                         RepeatNode, PrefetchNode)):
+        # map and batch run ``parallelism`` workers, the rest one
+        workers = (node.effective_parallelism
+                   if isinstance(node, (MapNode, BatchNode)) else 1)
+        state = StageState(out_q, workers)
+        return [
+            _Worker(node, in_q, out_q, state, ctx, stats)
+            for _ in range(workers)
+        ]
     raise TypeError(f"no runtime implementation for node kind {node.kind!r}")

@@ -177,6 +177,65 @@ def _tiny_overhead_machine():
     return dataclasses.replace(setup_a(), iterator_overhead=1e-20)
 
 
+def _zero_overhead_machine():
+    """``setup_a`` with no framework overhead: under ``trace=False`` no
+    worker pushes an overhead timer."""
+    return dataclasses.replace(setup_a(), iterator_overhead=0.0)
+
+
+def _filter_drop(seed):
+    """A filter that drops elements (``keep_fraction < 1``)."""
+    ds = _source(seed, par=3)
+    ds = ds.filter(UserFunction("f", cost=CostModel(cpu_seconds=2e-4)),
+                   keep_fraction=0.35, name="flt")
+    ds = ds.batch(4, name="bat").prefetch(2, name="pf")
+    return ds.build(f"filter_drop_{seed}", validate=False)
+
+
+def _map_reshape(seed, cpu_seconds=4e-4, **udf_kwargs):
+    """A map that changes element counts or sizes (``examples_ratio``,
+    ``output_bytes``, ``size_ratio``)."""
+    ds = _source(seed)
+    udf = UserFunction("u", cost=CostModel(cpu_seconds=cpu_seconds,
+                                           internal_parallelism=2),
+                       **udf_kwargs)
+    ds = ds.map(udf, parallelism=2, name="m").batch(8, name="bat")
+    return ds.prefetch(2, name="pf").build(f"map_reshape_{seed}",
+                                           validate=False)
+
+
+def _shuffle_repeat(seed):
+    """A fused ``shuffle_and_repeat`` with a per-element CPU cost."""
+    ds = _source(seed, par=2, files=4)
+    ds = ds.map(UserFunction("u", cost=CostModel(cpu_seconds=3e-4)),
+                parallelism=2, name="m")
+    ds = ds.shuffle_and_repeat(64, cpu_seconds_per_element=1e-4,
+                               name="snr")
+    return ds.batch(4, name="bat").build(f"shuffle_repeat_{seed}",
+                                         validate=False)
+
+
+def _every_kind(seed):
+    """Every node kind the engines implement in one graph."""
+    a = _source(seed, name="ia", par=1, files=4)
+    b = _source(seed + 7, name="ib", par=2, files=4, rpf=120.0)
+    ds = interleave_datasets([a, b], name="il")
+    c = _source(seed + 13, name="zc", par=1, files=6, bpr=1024.0)
+    ds = zip_datasets([ds, c], name="zip")
+    ds = ds.map(UserFunction("u", cost=CostModel(cpu_seconds=4e-4),
+                             examples_ratio=0.5),
+                parallelism=2, name="m")
+    ds = ds.filter(UserFunction("f", cost=CostModel(cpu_seconds=1e-4)),
+                   keep_fraction=0.8, name="flt")
+    ds = ds.map(UserFunction("u2", size_ratio=0.5), parallelism=2,
+                name="m2")
+    ds = ds.cache(name="cch").shuffle(32, cpu_seconds_per_element=5e-5,
+                                      name="shf")
+    ds = ds.batch(4, name="bat").repeat(None, name="rep")
+    ds = ds.take(150, name="tk").prefetch(2, name="pf")
+    return ds.build(f"every_kind_{seed}", validate=False)
+
+
 def cache_heavy(seed=0, read_cpu=1e-5, map_cpu=1.5e-3, par=4, batch=8,
                 files=16, rpf=300.0):
     """A populate-then-serve cache pipeline (the tentpole's hot shape)."""
@@ -196,9 +255,11 @@ def cache_heavy(seed=0, read_cpu=1e-5, map_cpu=1.5e-3, par=4, batch=8,
 #: machine builder — ``setup_a`` when absent]). The corpus spans every
 #: node type the engines implement, single- and multi-source graphs,
 #: warmup windows, model consumers, explicit epochs/granularity,
-#: sub-chunk trace windows, and collapsed timers (a positive delay
-#: below one ulp of the clock) on a core completion and on the first
-#: half of a fused queue handoff.
+#: sub-chunk trace windows, collapsed timers (a positive delay below
+#: one ulp of the clock) on a core completion and on the first half of
+#: a fused queue handoff, filters that drop elements, maps that change
+#: element counts and sizes, and machines with no framework overhead
+#: (no worker pushes an overhead timer).
 GOLDEN_CASES = [
     ("map_chain_0", lambda: _map_chain(0),
      dict(duration=2.0, warmup=0.5)),
@@ -241,6 +302,20 @@ GOLDEN_CASES = [
      dict(duration=6.0, warmup=0.0)),
     ("collapsed_pair_0", lambda: _map_chain(0),
      dict(duration=2.0, warmup=0.5, trace=False), _tiny_overhead_machine),
+    ("filter_drop_0", lambda: _filter_drop(0),
+     dict(duration=2.0, warmup=0.5)),
+    ("map_fixed_out_0",
+     lambda: _map_reshape(0, examples_ratio=2.5, output_bytes=512.0),
+     dict(duration=2.0, warmup=0.5)),
+    ("map_size_ratio_0",
+     lambda: _map_reshape(1, cpu_seconds=0.0, size_ratio=0.3),
+     dict(duration=2.0, warmup=0.5)),
+    ("shuffle_repeat_0", lambda: _shuffle_repeat(0),
+     dict(duration=2.0, warmup=0.5)),
+    ("zero_overhead_0", lambda: _every_kind(0),
+     dict(duration=2.0, warmup=0.5, trace=False), _zero_overhead_machine),
+    ("zero_overhead_1", lambda: _filter_shuffle(1),
+     dict(duration=2.0, warmup=0.5, trace=False), _zero_overhead_machine),
 ]
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.spec import OptimizeSpec
 from repro.graph.builder import from_tfrecords
 from repro.runtime.executor import (
-    BenchmarkConsumer,
     ModelConsumer,
     RunConfig,
     _granularity_floor,
