@@ -1,7 +1,7 @@
-"""Analysis utilities: analytic steady-state model, experiment drivers,
-and text tables shared by the benchmark harnesses."""
+"""Analysis utilities: experiment drivers and text tables shared by the
+benchmark harnesses. The closed-form rate model lives in
+:mod:`repro.runtime.analytic`."""
 
-from repro.analysis.steady_state import SteadyStatePrediction, predict_throughput
 from repro.analysis.tables import format_table
 
-__all__ = ["SteadyStatePrediction", "format_table", "predict_throughput"]
+__all__ = ["format_table"]

@@ -37,7 +37,7 @@ from repro.core.plumber import (
 )
 from repro.core.spec import DEFAULT_PASSES, OptimizeSpec
 from repro.core.prefetch_planner import PrefetchDecision, plan_prefetch
-from repro.core.randomness import node_is_random, tainted_nodes, udf_is_random
+from repro.core.randomness import tainted_nodes
 from repro.core.rates import (
     NodeRates,
     PipelineModel,
@@ -48,7 +48,6 @@ from repro.core.rates import (
 from repro.core.report import explain
 from repro.core.rewriter import (
     RewriteError,
-    get_parallelism,
     insert_cache_after,
     insert_prefetch_after,
     remove_node,
@@ -92,12 +91,10 @@ __all__ = [
     "estimate_source_size",
     "explain",
     "fit_piecewise",
-    "get_parallelism",
     "insert_cache_after",
     "insert_prefetch_after",
     "io_bound_throughput",
     "local_estimate",
-    "node_is_random",
     "optimize",
     "optimize_pipeline",
     "plan_caches",
@@ -109,5 +106,4 @@ __all__ = [
     "strip_caches",
     "tainted_nodes",
     "throughput_estimates",
-    "udf_is_random",
 ]

@@ -6,8 +6,10 @@ The three mechanisms the paper lists:
 2. set a node's parallelism parameter,
 3. insert a new node after a selected node (caching, prefetching).
 
-All rewrites are functional: they clone the pipeline and return a new
-one keyed by node name, leaving the input untouched.
+The first needs no function here: the parameters are node attributes
+(``effective_parallelism``, ``buffer_size``). All rewrites are
+functional: they clone the pipeline and return a new one keyed by node
+name, leaving the input untouched.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ from repro.graph.validate import validate_pipeline
 
 class RewriteError(ValueError):
     """Raised when a rewrite targets a missing or invalid node."""
-
-
-def get_parallelism(pipeline: Pipeline) -> Dict[str, int]:
-    """Current parallelism of every tunable node."""
-    return {n.name: n.effective_parallelism for n in pipeline.tunables()}
 
 
 def set_parallelism(pipeline: Pipeline, plan: Dict[str, int]) -> Pipeline:

@@ -2,8 +2,9 @@
 
 Every job is a real (small) pipeline built with the public graph API,
 assigned a host and an accelerator, and evaluated with the analytic
-steady-state model — the fleet statistics *emerge* from the population
-of configurations rather than being sampled directly.
+model's whole-chain caps (:func:`repro.runtime.analytic.fill_caps`) —
+the fleet statistics *emerge* from the population of configurations
+rather than being sampled directly.
 
 Population structure, mirroring §3's narrative:
 
@@ -27,7 +28,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.analysis.steady_state import predict_throughput
 from repro.core.spec import OptimizeSpec
 from repro.graph.builder import (
     from_tfrecords,
@@ -39,6 +39,7 @@ from repro.graph.udf import CostModel, UserFunction
 from repro.host.disk import cloud_storage, hdd_st4000, local_ssd_fast, nvme_p3600
 from repro.host.machine import Machine
 from repro.io.filesystem import FileCatalog
+from repro.runtime.analytic import fill_caps
 
 #: baseline Next-call cost when data is ready in a prefetch buffer
 #: ("it takes tens of microseconds to read input data that is readily
@@ -308,13 +309,13 @@ def _measure_job(
     config: FleetConfig,
 ) -> JobSample:
     """Run the §3 measurement for one job via the analytic model."""
-    prediction = predict_throughput(pipeline, machine, cached=False)
-    pipeline_rate = prediction.throughput
+    caps = fill_caps(pipeline, machine)
+    pipeline_rate = min(caps.values(), default=math.inf)
 
     # Accelerator speed relative to a *tuned* pipeline on this host: the
     # model's demand is independent of how well the input side happens to
     # be configured.
-    cpu_cap = prediction.cpu_cap
+    cpu_cap = caps.get("cpu", math.inf)
     reference = cpu_cap if math.isfinite(cpu_cap) else pipeline_rate
     speed = math.exp(
         rng.uniform(math.log(config.accel_speed_low),
@@ -337,7 +338,7 @@ def _measure_job(
     cpu_util = min(
         1.0,
         background_cpu
-        + achieved * prediction.cpu_demand_per_element / machine.cores,
+        + achieved / cpu_cap,
     )
     bytes_per_root = _bytes_per_root(pipeline)
     membw_util = min(

@@ -747,8 +747,8 @@ class Pipeline:
         """Names of nodes strictly below any :class:`CacheNode` — the
         subtree with no steady-state cost once the cache is populated
         (the paper's post-first-epoch regime). Shared by the LP, the
-        steady-state model, and the analytic trace backend so the three
-        never disagree on which nodes are free."""
+        simulator and the analytic trace backend so they never disagree
+        on which nodes are free."""
         return set(self._below_cache)
 
     def clone(self) -> "Pipeline":

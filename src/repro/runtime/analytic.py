@@ -5,8 +5,9 @@ counters plus the serialized program — the optimizer never looks at an
 individual event. This module produces that artifact *without running
 the discrete-event simulator*: every counter the tracer would record is
 computed in closed form from structural ratios, UDF cost models, the
-disk bandwidth curve, and the same operational-analysis rate math the
-fleet study uses (:mod:`repro.analysis.steady_state`).
+disk bandwidth curve, and operational-analysis rate math. That rate
+math is the library's one closed-form rate model: :func:`fill_caps`
+exposes its whole-chain caps to chunk sizing and the §3 fleet study.
 
 The steady-state equilibrium is the minimum of
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.trace import PipelineTrace
@@ -63,6 +64,7 @@ from repro.graph.validate import validate_pipeline
 from repro.host.machine import Machine
 from repro.runtime.executor import (
     RunConfig,
+    _granularity_floor,
     _pipeline_epochs,
     _total_threads,
     resolve_granularity,
@@ -236,24 +238,19 @@ def _equilibrium_caps(
     models: List[_NodeModel],
     machine: Machine,
     consumer_step: float,
-    serving: bool,
-    served_caches: Optional[set] = None,
+    served_caches: AbstractSet[str] = frozenset(),
 ) -> Dict[str, float]:
     """Labelled root-throughput bounds: stage, CPU, disk, consumer caps.
 
-    ``serving=True`` models the post-populate regime of a cached
-    pipeline: sub-cache nodes are free and the cache pays its serve-side
-    cost; ``serving=False`` is the whole-chain (fill or cache-free)
-    regime. ``served_caches`` overrides the boolean with a *partial*
-    regime — exactly the named caches serve while the rest still
-    populate — which is how multi-source graphs behave while their
-    branch caches finish filling at different times. Labels are
-    ``stage:<node>``, ``cpu``, ``disk``, and ``consumer`` — the same
-    vocabulary as :func:`repro.analysis.steady_state.predict_throughput`.
+    ``served_caches`` names the caches that have finished populating and
+    serve: their subtrees are free and each pays its serve-side cost,
+    while every other cache still populates at the whole chain's rate.
+    Empty (the default) is the fill or cache-free regime; a partial set
+    is how multi-source graphs behave while their branch caches finish
+    filling at different times. Labels are ``stage:<node>``, ``cpu``,
+    ``disk`` and ``consumer``.
     """
     subtrees = _cache_subtrees(models)
-    if served_caches is None:
-        served_caches = set(subtrees) if serving else set()
     free: set = set()
     for cache_name in served_caches:
         free |= subtrees.get(cache_name, set())
@@ -288,15 +285,36 @@ def _equilibrium_rate(
     models: List[_NodeModel],
     machine: Machine,
     consumer_step: float,
-    serving: bool,
-    served_caches: Optional[set] = None,
+    served_caches: AbstractSet[str],
 ) -> float:
     """Root throughput bound: the min over :func:`_equilibrium_caps`."""
-    caps = _equilibrium_caps(
-        models, machine, consumer_step, serving, served_caches
-    )
+    caps = _equilibrium_caps(models, machine, consumer_step, served_caches)
     rate = min(caps.values()) if caps else math.inf
     return min(rate, _RATE_CLAMP)
+
+
+def fill_caps(
+    pipeline: Pipeline,
+    machine: Machine,
+    consumer_step_seconds: float = 0.0,
+) -> Dict[str, float]:
+    """Labelled whole-chain root-throughput caps of ``pipeline``.
+
+    The fill regime: every node, caches included, pays its populate
+    cost, so no cache frees its subtree. Costs include the traced
+    per-element overhead, the oversubscription penalty and storage
+    latency at the batch-size chunk floor. The predicted root rate is
+    ``min(caps.values())``; an empty dict means nothing bounds it.
+    Chunk sizing (:func:`~repro.runtime.executor.auto_granularity`)
+    and the §3 fleet study read their rates here.
+    """
+    models = _build_node_models(
+        pipeline,
+        machine,
+        machine.iterator_overhead + machine.tracer_overhead,
+        _granularity_floor(pipeline),
+    )
+    return _equilibrium_caps(models, machine, consumer_step_seconds)
 
 
 @dataclass(frozen=True)
@@ -449,8 +467,7 @@ def _trace_from(
     for start in phase_starts:
         served = {c for c, n in populate_at.items() if n <= start}
         phase_rates.append(
-            _equilibrium_rate(models, machine, consumer_step,
-                              serving=False, served_caches=served)
+            _equilibrium_rate(models, machine, consumer_step, served)
         )
     phase_times = [pipe_fill]
     for k in range(len(boundaries)):

@@ -136,30 +136,6 @@ def _granularity_floor(pipeline: Pipeline) -> int:
     return int(min(64, max(1, batch // 8)))
 
 
-def _fill_regime_prediction(
-    pipeline: Pipeline, machine: Machine, consumer_step_seconds: float
-):
-    """Steady-state rate prediction for granularity sizing.
-
-    GUARD (regression from the analytic-backend work): chunk sizing MUST
-    use the fill/populate regime (``cached=False``). A pipeline that
-    gained a cache serves at the cached suffix's (much faster) rate, and
-    sizing chunks for that rate makes them so coarse the populate pass
-    cannot push a single chunk through the whole chain within the trace
-    window — the trace then reports throughput 0 and the optimizer
-    concludes the optimized pipeline got *slower*. This helper is the
-    single place granularity prediction happens, so the invariant cannot
-    be lost to a refactor of one call site.
-    """
-    from repro.analysis.steady_state import predict_throughput
-
-    return predict_throughput(
-        pipeline, machine,
-        consumer_step_seconds=consumer_step_seconds,
-        cached=False,
-    )
-
-
 def auto_granularity(
     pipeline: Pipeline,
     machine: Machine,
@@ -173,20 +149,27 @@ def auto_granularity(
     rate of the whole simulation is ``~ stages x events_per_chunk x
     (element rate at the source) / granularity`` — independent of which
     stage a chunk is at. Predicting the element rate with the analytic
-    steady-state model therefore lets us solve for the granularity that
+    model's caps therefore lets us solve for the granularity that
     lands the run inside ``event_budget`` regardless of per-op cost:
     µs-cost NLP pipelines (huge element rates) get coarse chunks
     automatically, while low-rate vision pipelines keep the legacy
-    batch-size heuristic as a floor (identical behaviour to before).
+    batch-size heuristic as a floor.
+
+    The rate comes from the fill-regime caps, never the serve regime: a
+    pipeline that gained a cache serves at the cached suffix's (much
+    faster) rate, and chunks sized for that rate are so coarse the
+    populate pass cannot push one through the chain within the trace
+    window, so the trace reads throughput 0.
     """
+    # Imported here: the analytic backend imports this module.
+    from repro.runtime.analytic import fill_caps
+
     floor = _granularity_floor(pipeline)
     try:
-        prediction = _fill_regime_prediction(
-            pipeline, machine, consumer_step_seconds
-        )
+        caps = fill_caps(pipeline, machine, consumer_step_seconds)
     except (ValueError, KeyError):  # unmodellable structure: keep floor
         return floor
-    rate = prediction.throughput
+    rate = min(caps.values(), default=math.inf)
     if not math.isfinite(rate) or rate <= 0:
         return floor
     ratios = pipeline.visit_ratios()

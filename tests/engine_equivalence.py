@@ -252,8 +252,11 @@ def cache_heavy(seed=0, read_cpu=1e-5, map_cpu=1.5e-3, par=4, batch=8,
 
 
 #: (case name, zero-arg pipeline builder, RunConfig kwargs[, zero-arg
-#: machine builder — ``setup_a`` when absent]). The corpus spans every
-#: node type the engines implement, single- and multi-source graphs,
+#: machine builder — ``setup_a`` when absent]). The corpus pins the
+#: engine, not the chunk-sizing heuristic: cases whose auto granularity
+#: moved when sizing switched to the analytic caps pin the chunk size
+#: they were recorded at. The corpus spans every node type the engines
+#: implement, single- and multi-source graphs,
 #: warmup windows, model consumers, explicit epochs/granularity,
 #: sub-chunk trace windows, collapsed timers (a positive delay below
 #: one ulp of the clock) on a core completion and on the first half of
@@ -303,17 +306,18 @@ GOLDEN_CASES = [
     ("collapsed_pair_0", lambda: _map_chain(0),
      dict(duration=2.0, warmup=0.5, trace=False), _tiny_overhead_machine),
     ("filter_drop_0", lambda: _filter_drop(0),
-     dict(duration=2.0, warmup=0.5)),
+     dict(duration=2.0, warmup=0.5, granularity=3)),
     ("map_fixed_out_0",
      lambda: _map_reshape(0, examples_ratio=2.5, output_bytes=512.0),
      dict(duration=2.0, warmup=0.5)),
     ("map_size_ratio_0",
      lambda: _map_reshape(1, cpu_seconds=0.0, size_ratio=0.3),
-     dict(duration=2.0, warmup=0.5)),
+     dict(duration=2.0, warmup=0.5, granularity=10)),
     ("shuffle_repeat_0", lambda: _shuffle_repeat(0),
      dict(duration=2.0, warmup=0.5)),
     ("zero_overhead_0", lambda: _every_kind(0),
-     dict(duration=2.0, warmup=0.5, trace=False), _zero_overhead_machine),
+     dict(duration=2.0, warmup=0.5, trace=False, granularity=12),
+     _zero_overhead_machine),
     ("zero_overhead_1", lambda: _filter_shuffle(1),
      dict(duration=2.0, warmup=0.5, trace=False), _zero_overhead_machine),
 ]

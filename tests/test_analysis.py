@@ -1,17 +1,27 @@
-"""Tests for the analytic steady-state model and text tables."""
-
-import math
+"""Tests for the closed-form steady-state caps and text tables."""
 
 import pytest
 
-from repro.analysis.steady_state import predict_throughput
 from repro.analysis.tables import format_table
 from repro.graph.builder import from_tfrecords
-from repro.runtime.executor import ModelConsumer, run_pipeline
+from repro.runtime.analytic import (
+    _build_node_models,
+    _equilibrium_caps,
+    fill_caps,
+)
+from repro.runtime.executor import _granularity_floor, run_pipeline
 from tests.conftest import make_udf
 
 
+def _bound(caps):
+    """(binding label, root rate) of a cap table."""
+    label = min(caps, key=caps.get)
+    return label, caps[label]
+
+
 class TestSteadyState:
+    """The analytic model's whole-chain caps against the simulator."""
+
     def test_matches_simulator_on_cpu_bound(self, small_catalog, test_machine):
         pipe = (
             from_tfrecords(small_catalog, parallelism=2, name="src")
@@ -21,11 +31,9 @@ class TestSteadyState:
             .repeat(None, name="r")
             .build("p")
         )
-        predicted = predict_throughput(pipe, test_machine)
+        _, predicted = _bound(fill_caps(pipe, test_machine))
         simulated = run_pipeline(pipe, test_machine, duration=3.0, warmup=0.5)
-        assert simulated.throughput == pytest.approx(
-            predicted.throughput, rel=0.1
-        )
+        assert simulated.throughput == pytest.approx(predicted, rel=0.1)
 
     def test_matches_simulator_on_disk_bound(self, small_catalog, test_machine):
         from repro.host.disk import token_bucket
@@ -37,13 +45,15 @@ class TestSteadyState:
             .repeat(None, name="r")
             .build("io")
         )
-        predicted = predict_throughput(pipe, slow)
-        assert predicted.bottleneck == "disk"
+        caps = fill_caps(pipe, slow)
+        bottleneck, predicted = _bound(caps)
+        # The source's workers wait on storage, so their stage cap is the
+        # disk bound less the per-element overhead.
+        assert bottleneck == "stage:src"
+        assert predicted == pytest.approx(caps["disk"], rel=0.01)
         # Long window: block-buffered readers deliver in ~0.5 s bursts.
         simulated = run_pipeline(pipe, slow, duration=30.0, warmup=3.0)
-        assert simulated.throughput == pytest.approx(
-            predicted.throughput, rel=0.12
-        )
+        assert simulated.throughput == pytest.approx(predicted, rel=0.12)
 
     def test_sequential_stage_binds(self, small_catalog, test_machine):
         pipe = (
@@ -54,17 +64,19 @@ class TestSteadyState:
             .repeat(None, name="r")
             .build("seq")
         )
-        predicted = predict_throughput(pipe, test_machine)
-        assert predicted.bottleneck == "stage:shuf"
+        bottleneck, _ = _bound(fill_caps(pipe, test_machine))
+        assert bottleneck == "stage:shuf"
 
     def test_consumer_cap(self, simple_pipeline, test_machine):
-        predicted = predict_throughput(
-            simple_pipeline, test_machine, consumer_step_seconds=1.0
-        )
-        assert predicted.throughput == pytest.approx(1.0)
-        assert predicted.bottleneck == "consumer"
+        caps = fill_caps(simple_pipeline, test_machine,
+                         consumer_step_seconds=1.0)
+        bottleneck, rate = _bound(caps)
+        assert rate == pytest.approx(1.0)
+        assert bottleneck == "consumer"
 
     def test_cached_waives_upstream_and_disk(self, small_catalog, test_machine):
+        """A served cache frees its subtree and the disk bound; the fill
+        regime (what :func:`fill_caps` reports) pays for both."""
         pipe = (
             from_tfrecords(small_catalog, parallelism=1, name="src")
             .map(make_udf("slow", cpu=1e-2), parallelism=1, name="m")
@@ -73,14 +85,15 @@ class TestSteadyState:
             .repeat(None, name="r")
             .build("cached")
         )
-        cached = predict_throughput(pipe, test_machine, cached=True)
-        cold = predict_throughput(pipe, test_machine, cached=False)
-        assert cached.throughput > cold.throughput * 10
-        assert math.isinf(cached.stage_caps["m"])
-
-    def test_cpu_utilization_bounded(self, simple_pipeline, test_machine):
-        predicted = predict_throughput(simple_pipeline, test_machine)
-        assert 0.0 <= predicted.cpu_utilization <= 1.0
+        overhead = test_machine.iterator_overhead + test_machine.tracer_overhead
+        models = _build_node_models(pipe, test_machine, overhead,
+                                    _granularity_floor(pipe))
+        cold = _equilibrium_caps(models, test_machine, 0.0)
+        served = _equilibrium_caps(models, test_machine, 0.0, {"c"})
+        assert cold == fill_caps(pipe, test_machine)
+        assert _bound(served)[1] > _bound(cold)[1] * 10
+        assert {"stage:m", "stage:src", "disk"} <= set(cold)
+        assert not {"stage:m", "stage:src", "disk"} & set(served)
 
 
 class TestTables:

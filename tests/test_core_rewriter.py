@@ -5,7 +5,6 @@ import pytest
 from repro.core.rewriter import (
     RewriteError,
     existing_cache,
-    get_parallelism,
     insert_after,
     insert_cache_after,
     insert_prefetch_after,
@@ -37,11 +36,6 @@ class TestSetParallelism:
     def test_rejects_zero(self, simple_pipeline):
         with pytest.raises(RewriteError, match=">= 1"):
             set_parallelism(simple_pipeline, {"map_work": 0})
-
-    def test_get_parallelism(self, simple_pipeline):
-        assert get_parallelism(simple_pipeline) == {
-            "src": 1, "map_work": 1, "batch": 1,
-        }
 
 
 class TestInsert:

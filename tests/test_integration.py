@@ -95,17 +95,15 @@ def test_optimized_pipeline_is_serializable(machine):
 
 
 def test_simulator_agrees_with_analytic_model(machine):
-    """The two substrates (event simulation, closed-form steady state)
-    agree on a tuned vision pipeline."""
-    from repro.analysis.steady_state import predict_throughput
+    """The two substrates (event simulation, closed-form caps) agree on
+    a tuned vision pipeline."""
     from repro.core.rewriter import set_parallelism
+    from repro.runtime.analytic import fill_caps
 
     pipe = get_workload("resnet").build(scale=0.05)
     pipe = set_parallelism(
         pipe, {n.name: 4 for n in pipe.tunables()}
     )
-    predicted = predict_throughput(pipe, machine)
+    predicted = min(fill_caps(pipe, machine).values())
     simulated = run_pipeline(pipe, machine, duration=3.0, warmup=1.0)
-    assert simulated.throughput == pytest.approx(
-        predicted.throughput, rel=0.15
-    )
+    assert simulated.throughput == pytest.approx(predicted, rel=0.15)

@@ -83,38 +83,55 @@ class TestAutoGranularity:
         assert bound <= free
 
     def test_sizing_uses_fill_regime_prediction(
-        self, small_catalog, test_machine, monkeypatch
+        self, small_catalog, test_machine
     ):
-        """Guard: chunk sizing must predict with ``cached=False``.
+        """Guard: a cached pipeline is sized from its populate-regime caps.
 
         Sizing for a cache's (much faster) serve rate makes chunks so
         coarse the populate pass cannot push one through the chain
         within the trace window — the known throughput-0 failure mode
-        on optimized pipelines that gained a cache."""
-        import repro.analysis.steady_state as steady_state
-        import repro.runtime.executor as executor_mod
-
-        seen = {}
-        original = steady_state.predict_throughput
-
-        def spy(pipeline, machine, consumer_step_seconds=0.0, cached=True):
-            seen["cached"] = cached
-            return original(pipeline, machine,
-                            consumer_step_seconds=consumer_step_seconds,
-                            cached=cached)
-
-        monkeypatch.setattr(steady_state, "predict_throughput", spy)
-        cached_pipe = (
-            from_tfrecords(small_catalog, parallelism=2, name="src")
-            .map(make_udf("op", cpu=1e-6), parallelism=2, name="m")
-            .batch(16, name="b")
-            .cache(name="cache")
-            .repeat(None, name="r")
-            .build("cached")
+        on optimized pipelines that gained a cache. A populating cache
+        only forwards, so the pipeline must size exactly like its twin
+        with a prefetch in the cache's place."""
+        from repro.runtime.analytic import (
+            _build_node_models,
+            _equilibrium_caps,
         )
-        executor_mod.auto_granularity(cached_pipe, test_machine,
-                                      duration=3.0)
-        assert seen["cached"] is False
+
+        def build(with_cache):
+            ds = (
+                from_tfrecords(small_catalog, parallelism=2, name="src")
+                .map(make_udf("op", cpu=1e-4), parallelism=2, name="m")
+                .batch(16, name="b")
+            )
+            ds = ds.cache(name="c") if with_cache else ds.prefetch(1, name="c")
+            return ds.repeat(None, name="r").build("g")
+
+        cached, twin = build(True), build(False)
+        overhead = test_machine.iterator_overhead + test_machine.tracer_overhead
+        models = _build_node_models(cached, test_machine, overhead,
+                                    _granularity_floor(cached))
+        populate = min(_equilibrium_caps(models, test_machine, 0.0).values())
+        serve = min(
+            _equilibrium_caps(models, test_machine, 0.0, {"c"}).values()
+        )
+        assert serve > 10 * populate
+        g = auto_granularity(cached, test_machine, duration=3.0)
+        assert g == auto_granularity(twin, test_machine, duration=3.0)
+        assert g > _granularity_floor(cached)
+
+    def test_filter_drop_sizing_rate_matches_simulation(self):
+        """The sizing rate charges a dropping filter for every element it
+        consumes: within 10% of the simulated rate."""
+        from repro.host.machine import setup_a
+        from repro.runtime.analytic import fill_caps
+        from tests.engine_equivalence import _filter_drop
+
+        machine = setup_a()
+        pipe = _filter_drop(0)
+        rate = min(fill_caps(pipe, machine).values())
+        simulated = run_pipeline(pipe, machine, duration=2.0, warmup=0.5)
+        assert rate == pytest.approx(simulated.throughput, rel=0.1)
 
     def test_optimized_cache_pipeline_traces_nonzero(
         self, small_catalog, test_machine
