@@ -63,11 +63,12 @@ from repro.graph.serialize import pipeline_to_dict
 from repro.graph.validate import validate_pipeline
 from repro.host.machine import Machine
 from repro.runtime.executor import (
+    DEFAULT_EVENT_BUDGET,
     RunConfig,
     _granularity_floor,
+    _granularity_for_rate,
     _pipeline_epochs,
     _total_threads,
-    resolve_granularity,
 )
 from repro.runtime.iterators import READ_BLOCK_BYTES
 from repro.runtime.stats import NodeStats
@@ -308,13 +309,21 @@ def fill_caps(
     Chunk sizing (:func:`~repro.runtime.executor.auto_granularity`)
     and the §3 fleet study read their rates here.
     """
-    models = _build_node_models(
-        pipeline,
-        machine,
-        machine.iterator_overhead + machine.tracer_overhead,
-        _granularity_floor(pipeline),
+    return _equilibrium_caps(
+        _fill_models(pipeline, machine), machine, consumer_step_seconds
     )
-    return _equilibrium_caps(models, machine, consumer_step_seconds)
+
+
+def _fill_overhead(machine: Machine) -> float:
+    """Per-element overhead chunk sizing charges: a traced run's."""
+    return machine.iterator_overhead + machine.tracer_overhead
+
+
+def _fill_models(pipeline: Pipeline, machine: Machine) -> List[_NodeModel]:
+    """The node models behind :func:`fill_caps`."""
+    return _build_node_models(
+        pipeline, machine, _fill_overhead(machine), _granularity_floor(pipeline)
+    )
 
 
 @dataclass(frozen=True)
@@ -343,8 +352,27 @@ def _prepare(
     overhead = machine.iterator_overhead + (
         machine.tracer_overhead if config.trace else 0.0
     )
-    granularity = resolve_granularity(pipeline, machine, config)
-    models = _build_node_models(pipeline, machine, overhead, granularity)
+    consumer_step = config.consumer.step_seconds_per_element
+    granularity = config.granularity
+    models = None
+    if not granularity:
+        # resolve_granularity's auto path, keeping the sizing models: a
+        # run at the chunk floor with the sizing overhead reuses them.
+        fill = _fill_models(pipeline, machine)
+        caps = _equilibrium_caps(fill, machine, consumer_step)
+        granularity = _granularity_for_rate(
+            pipeline,
+            min(caps.values(), default=math.inf),
+            config.duration,
+            config.event_budget or DEFAULT_EVENT_BUDGET,
+        )
+        if (
+            granularity == _granularity_floor(pipeline)
+            and overhead == _fill_overhead(machine)
+        ):
+            models = fill
+    if models is None:
+        models = _build_node_models(pipeline, machine, overhead, granularity)
     epochs = (
         config.epochs if config.epochs is not None
         else _pipeline_epochs(pipeline)
@@ -353,7 +381,7 @@ def _prepare(
         config=config,
         models=models,
         granularity=granularity,
-        consumer_step=config.consumer.step_seconds_per_element,
+        consumer_step=consumer_step,
         epochs=epochs,
     )
 

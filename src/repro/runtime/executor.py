@@ -164,12 +164,20 @@ def auto_granularity(
     # Imported here: the analytic backend imports this module.
     from repro.runtime.analytic import fill_caps
 
-    floor = _granularity_floor(pipeline)
     try:
         caps = fill_caps(pipeline, machine, consumer_step_seconds)
     except (ValueError, KeyError):  # unmodellable structure: keep floor
-        return floor
-    rate = min(caps.values(), default=math.inf)
+        return _granularity_floor(pipeline)
+    return _granularity_for_rate(
+        pipeline, min(caps.values(), default=math.inf), duration, event_budget
+    )
+
+
+def _granularity_for_rate(
+    pipeline: Pipeline, rate: float, duration: float, event_budget: int
+) -> int:
+    """:func:`auto_granularity`'s chunk size for a predicted root rate."""
+    floor = _granularity_floor(pipeline)
     if not math.isfinite(rate) or rate <= 0:
         return floor
     ratios = pipeline.visit_ratios()
@@ -195,9 +203,11 @@ def resolve_granularity(
     pipeline: Pipeline, machine: Machine, config: RunConfig
 ) -> int:
     """The chunk size one run configuration resolves to: the explicit
-    ``granularity`` if set, else the event-budget auto-tuner. Both trace
-    backends use this, so a given :class:`RunConfig` always means the
-    same chunking regardless of how the trace is acquired."""
+    ``granularity`` if set, else the event-budget auto-tuner. The
+    analytic backend makes the same decision from the same pieces
+    (keeping the sizing models for reuse), so a given :class:`RunConfig`
+    always means the same chunking regardless of how the trace is
+    acquired."""
     return config.granularity or auto_granularity(
         pipeline,
         machine,

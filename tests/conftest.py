@@ -77,6 +77,16 @@ def make_udf(
     )
 
 
+def served_caps(pipeline, machine, served_caches):
+    """The analytic caps of ``pipeline`` with ``served_caches`` serving,
+    on the node models behind :func:`repro.runtime.analytic.fill_caps`
+    (an empty set gives exactly ``fill_caps``)."""
+    from repro.runtime.analytic import _equilibrium_caps, _fill_models
+
+    models = _fill_models(pipeline, machine)
+    return _equilibrium_caps(models, machine, 0.0, served_caches)
+
+
 @pytest.fixture
 def simple_pipeline(small_catalog):
     """src -> map -> batch -> prefetch -> repeat, parallelism 1."""

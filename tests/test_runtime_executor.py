@@ -14,7 +14,7 @@ from repro.runtime.executor import (
     run_pipeline,
 )
 from repro.runtime.engine import SimulationError
-from tests.conftest import make_udf
+from tests.conftest import make_udf, served_caps
 
 
 class TestRunConfig:
@@ -93,10 +93,7 @@ class TestAutoGranularity:
         on optimized pipelines that gained a cache. A populating cache
         only forwards, so the pipeline must size exactly like its twin
         with a prefetch in the cache's place."""
-        from repro.runtime.analytic import (
-            _build_node_models,
-            _equilibrium_caps,
-        )
+        from repro.runtime.analytic import fill_caps
 
         def build(with_cache):
             ds = (
@@ -108,30 +105,12 @@ class TestAutoGranularity:
             return ds.repeat(None, name="r").build("g")
 
         cached, twin = build(True), build(False)
-        overhead = test_machine.iterator_overhead + test_machine.tracer_overhead
-        models = _build_node_models(cached, test_machine, overhead,
-                                    _granularity_floor(cached))
-        populate = min(_equilibrium_caps(models, test_machine, 0.0).values())
-        serve = min(
-            _equilibrium_caps(models, test_machine, 0.0, {"c"}).values()
-        )
+        populate = min(fill_caps(cached, test_machine).values())
+        serve = min(served_caps(cached, test_machine, {"c"}).values())
         assert serve > 10 * populate
         g = auto_granularity(cached, test_machine, duration=3.0)
         assert g == auto_granularity(twin, test_machine, duration=3.0)
         assert g > _granularity_floor(cached)
-
-    def test_filter_drop_sizing_rate_matches_simulation(self):
-        """The sizing rate charges a dropping filter for every element it
-        consumes: within 10% of the simulated rate."""
-        from repro.host.machine import setup_a
-        from repro.runtime.analytic import fill_caps
-        from tests.engine_equivalence import _filter_drop
-
-        machine = setup_a()
-        pipe = _filter_drop(0)
-        rate = min(fill_caps(pipe, machine).values())
-        simulated = run_pipeline(pipe, machine, duration=2.0, warmup=0.5)
-        assert rate == pytest.approx(simulated.throughput, rel=0.1)
 
     def test_optimized_cache_pipeline_traces_nonzero(
         self, small_catalog, test_machine

@@ -239,25 +239,21 @@ class TestAnalyticTrace:
 
     def test_event_budget_forwarded_to_granularity(self, machine,
                                                    simple_pipeline):
-        """Regression: the analytic backend resolves granularity through
-        the same helper as the simulator, so ``RunConfig.event_budget``
-        is honoured identically by both."""
-        import repro.runtime.analytic as analytic_mod
+        """Regression: the analytic backend resolves the same granularity
+        as the simulator's helper, so ``RunConfig.event_budget`` is
+        honoured identically by both."""
+        from repro.runtime.analytic import _prepare
+        from repro.runtime.executor import resolve_granularity
 
-        seen = {}
-        original = analytic_mod.resolve_granularity
-
-        def spy(pipeline, mach, config):
-            seen["event_budget"] = config.event_budget
-            return original(pipeline, mach, config)
-
-        analytic_mod.resolve_granularity = spy
-        try:
-            analytic_trace(simple_pipeline, machine, duration=2.0,
-                           warmup=0.5, event_budget=12_345)
-        finally:
-            analytic_mod.resolve_granularity = original
-        assert seen["event_budget"] == 12_345
+        run = dict(duration=2.0, warmup=0.5)
+        tight = _prepare(simple_pipeline, machine, None,
+                         dict(run, event_budget=500))
+        default = _prepare(simple_pipeline, machine, None, run)
+        assert tight.granularity > default.granularity
+        for prepared in (tight, default):
+            assert prepared.granularity == resolve_granularity(
+                simple_pipeline, machine, prepared.config
+            )
 
     def test_sub_cache_production_bounded_by_one_epoch(self, machine,
                                                        small_catalog):
