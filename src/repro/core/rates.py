@@ -123,7 +123,7 @@ class PipelineModel:
 
 def build_model(trace: PipelineTrace) -> PipelineModel:
     """Derive the full operational model from a trace."""
-    pipeline = trace.pipeline()
+    pipeline = trace.pipeline
     root_name = pipeline.root.name
     stats = trace.stats
     root_completions = stats[root_name].elements_produced

@@ -48,8 +48,8 @@ class OptimizeSpec:
     passes:
         Optimizer passes, in order. Entries are registry names
         (strings) or :class:`~repro.core.passes.OptimizerPass` objects;
-        the batch service requires names (specs travel to worker
-        processes as JSON).
+        the batch service requires names (its result-cache key is
+        computed from them).
     iterations:
         Pass-pipeline iterations (the paper runs two "so that the
         estimated rates more closely reflect the final pipeline's
@@ -153,7 +153,8 @@ class OptimizeSpec:
         }
 
     def to_dict(self) -> dict:
-        """Serialize for the worker-process hop (JSON-compatible)."""
+        """Serialize for the HTTP wire and stored provenance
+        (JSON-compatible)."""
         return self.cache_token()
 
     @classmethod

@@ -13,8 +13,8 @@ serializable so traces can be saved and analyzed offline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.graph.datasets import Pipeline
 from repro.graph.serialize import pipeline_from_dict, pipeline_to_dict
@@ -76,25 +76,19 @@ class PipelineTrace:
     are different artifacts and must not share cache entries downstream.
     """
 
-    program: dict                     # serialized pipeline
+    pipeline: Pipeline                # the traced program
     stats: Dict[str, NodeStats]       # measurement-window counters
     host: HostInfo
     measured_seconds: float
     root_throughput: float            # observed minibatches/second
     cpu_utilization: float = 0.0
     backend: str = "simulate"         # how the trace was acquired
-    #: the traced pipeline itself, for a trace made in this process
-    #: (``None`` after :meth:`from_json`); not part of the artifact
-    traced: Optional[Pipeline] = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def from_run(cls, result: RunResult) -> "PipelineTrace":
         """Build a trace from a simulated run."""
         return cls(
-            program=pipeline_to_dict(result.pipeline),
-            traced=result.pipeline,
+            pipeline=result.pipeline,
             stats=result.stats,
             host=HostInfo.from_machine(result.machine),
             measured_seconds=result.measured_seconds,
@@ -103,19 +97,12 @@ class PipelineTrace:
             backend="simulate",
         )
 
-    def pipeline(self) -> Pipeline:
-        """The traced pipeline: the one traced in this process, else
-        rebuilt from ``program`` (it is a valid program, §4.2)."""
-        if self.traced is not None:
-            return self.traced
-        return pipeline_from_dict(self.program)
-
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         """Serialize the whole trace to JSON."""
         return json.dumps(
             {
-                "program": self.program,
+                "program": pipeline_to_dict(self.pipeline),
                 "stats": {k: v.to_dict() for k, v in self.stats.items()},
                 "host": self.host.to_dict(),
                 "measured_seconds": self.measured_seconds,
@@ -127,10 +114,11 @@ class PipelineTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineTrace":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json`: the program is rebuilt (a trace
+        is a valid program, §4.2)."""
         data = json.loads(text)
         return cls(
-            program=data["program"],
+            pipeline=pipeline_from_dict(data["program"]),
             stats={
                 k: NodeStats.from_dict(v) for k, v in data["stats"].items()
             },

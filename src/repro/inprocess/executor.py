@@ -34,7 +34,6 @@ from repro.graph.datasets import (
     ShuffleNode,
     TakeNode,
 )
-from repro.graph.serialize import pipeline_to_dict
 from repro.host.machine import Machine
 from repro.runtime.stats import NodeStats
 
@@ -304,8 +303,7 @@ def trace_real_run(
     for node in pipeline.topological_order():
         tracer.for_node(node)
     return PipelineTrace(
-        program=pipeline_to_dict(pipeline),
-        traced=pipeline,
+        pipeline=pipeline,
         stats=tracer.stats,
         host=HostInfo.from_machine(machine),
         measured_seconds=elapsed,

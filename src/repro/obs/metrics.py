@@ -36,7 +36,6 @@ convention as the service layer's ``clock=``/``monotonic=`` parameters.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -664,8 +663,3 @@ def summarize_snapshot(snapshot: Mapping[str, dict]) -> dict:
             else:
                 out[series] = value
     return out
-
-
-def snapshot_to_json(snapshot: Mapping[str, dict]) -> str:
-    """Canonical JSON text of a snapshot (sorted keys)."""
-    return json.dumps(snapshot, sort_keys=True)

@@ -59,16 +59,14 @@ from repro.graph.datasets import (
     TakeNode,
     ZipNode,
 )
-from repro.graph.serialize import pipeline_to_dict
 from repro.graph.validate import validate_pipeline
 from repro.host.machine import Machine
 from repro.runtime.executor import (
-    DEFAULT_EVENT_BUDGET,
     RunConfig,
     _granularity_floor,
-    _granularity_for_rate,
     _pipeline_epochs,
     _total_threads,
+    size_chunks,
 )
 from repro.runtime.iterators import READ_BLOCK_BYTES
 from repro.runtime.stats import NodeStats
@@ -80,20 +78,37 @@ _RATE_CLAMP = 1e12
 
 @dataclass
 class _NodeModel:
-    """Closed-form per-node quantities, all per *output* element."""
+    """Closed-form per-node quantities, all per *output* element.
+
+    The per-element overhead and the sources' storage latency depend on
+    the run (traced or not, chunk size); :func:`_price` sets them, so
+    models built for one run can be re-priced for another.
+    """
 
     node: DatasetNode
     visit: float                 # V_i: node completions per root element
     workers: int                 # worker pool width p_i
-    wall_seconds: float          # worker occupancy (overhead+compute+io)
+    compute_seconds: float       # penalty-inflated worker compute
     core_seconds: float          # what on_cpu would record
-    overhead_seconds: float      # what on_overhead would record
     bytes_per_element: float     # b_i, propagated source -> root
-    io_seconds: float = 0.0      # storage wait (sources only)
+    #: output elements per input element (the overhead is paid per input)
+    outputs_per_input: float = 1.0
+    transfer_seconds: float = 0.0     # disk transfer (sources only)
     bytes_read: float = 0.0      # storage bytes (sources only)
     below_cache: bool = False    # produces only during the fill epoch
     serve_core_seconds: float = 0.0   # cache node: extra serve-side CPU
-    serve_wall_seconds: float = 0.0   # cache node: serve-side occupancy
+    overhead_seconds: float = 0.0     # what on_overhead would record
+    io_seconds: float = 0.0      # storage wait (sources only)
+
+    @property
+    def wall_seconds(self) -> float:
+        """Worker occupancy (overhead + compute + io)."""
+        return self.overhead_seconds + self.compute_seconds + self.io_seconds
+
+    @property
+    def serve_wall_seconds(self) -> float:
+        """Cache node: serve-side occupancy."""
+        return self.overhead_seconds + self.serve_core_seconds
 
 
 def _penalty_factor(machine: Machine, threads: float) -> float:
@@ -111,7 +126,8 @@ def _build_node_models(
     granularity: int,
 ) -> List[_NodeModel]:
     """Per-node closed-form costs, mirroring the simulator's workers in
-    :mod:`repro.runtime.vector` (same accounting, no events)."""
+    :mod:`repro.runtime.vector` (same accounting, no events), priced
+    for a run with ``overhead`` per element and ``granularity``."""
     ratios = pipeline.visit_ratios()
     below = pipeline.below_cache_names()
     penalty = _penalty_factor(machine, _total_threads(pipeline))
@@ -128,68 +144,57 @@ def _build_node_models(
     for node in pipeline.topological_order():
         v = ratios[node.name]
         workers = node.effective_parallelism
-        io = 0.0
+        out_per_in = 1.0
+        transfer = 0.0
         read = 0.0
         serve_core = 0.0
-        serve_wall = 0.0
         if isinstance(node, InterleaveSourceNode):
             bpr = node.catalog.mean_bytes_per_record
-            # Block-buffered reads: per-request latency is amortized over
-            # the larger of the chunk and the read-ahead block.
-            block = max(granularity * bpr, READ_BLOCK_BYTES)
-            io = bpr / per_stream_bw + machine.disk.read_latency * bpr / block
+            transfer = bpr / per_stream_bw
             read = bpr
             compute = node.read_cpu_seconds_per_record / speed * penalty
             core = compute
-            ovh = overhead
             b = bpr
         elif isinstance(node, MapNode):
             udf = node.udf
-            er = max(udf.examples_ratio, 1e-12)
+            out_per_in = max(udf.examples_ratio, 1e-12)
             compute_in = udf.cost.cpu_seconds / speed * penalty
-            compute = compute_in / er
-            core = compute_in * udf.cost.internal_parallelism / er
-            ovh = overhead / er
+            compute = compute_in / out_per_in
+            core = compute_in * udf.cost.internal_parallelism / out_per_in
             b = udf.output_size(bytes_at[node.inputs[0].name])
         elif isinstance(node, FilterNode):
-            keep = max(node.keep_fraction, 1e-12)
+            out_per_in = max(node.keep_fraction, 1e-12)
             compute_in = node.udf.cost.cpu_seconds / speed * penalty
-            compute = compute_in / keep
-            core = compute_in / keep
-            ovh = overhead / keep
+            compute = compute_in / out_per_in
+            core = compute_in / out_per_in
             b = bytes_at[node.inputs[0].name]
         elif isinstance(node, BatchNode):
+            # The overhead is paid per *output* element (one Next/batch).
             per_example = node.cpu_seconds_per_example / speed * penalty
             compute = per_example * node.batch_size
             core = compute
-            ovh = overhead  # paid per *output* element (one Next/batch)
             b = bytes_at[node.inputs[0].name] * node.batch_size
         elif isinstance(node, ShuffleNode):  # includes shuffle_and_repeat
             compute = node.cpu_seconds_per_element / speed * penalty
             core = compute
-            ovh = overhead
             b = bytes_at[node.inputs[0].name]
         elif isinstance(node, CacheNode):
             # Populate pass forwards at overhead-only cost; serving adds
             # the memory-copy read cost.
             compute = 0.0
             core = 0.0
-            ovh = overhead
             serve_core = node.read_cpu_seconds_per_element / speed * penalty
-            serve_wall = ovh + serve_core
             b = bytes_at[node.inputs[0].name]
         elif isinstance(node, ZipNode):
             # One output pairs one element from every branch: bytes add.
             compute = node.cpu_seconds_per_element / speed * penalty
             core = compute
-            ovh = overhead
             b = sum(bytes_at[c.name] for c in node.inputs)
         elif isinstance(node, InterleaveDatasetsNode):
             # Weighted mix: expected output bytes are the weighted mean
             # of the branch element sizes.
             compute = node.cpu_seconds_per_element / speed * penalty
             core = compute
-            ovh = overhead
             b = sum(
                 w * bytes_at[c.name]
                 for w, c in zip(node.weights, node.inputs)
@@ -197,7 +202,6 @@ def _build_node_models(
         else:  # repeat / prefetch / take: pure forwarding
             compute = 0.0
             core = 0.0
-            ovh = overhead
             b = bytes_at[node.inputs[0].name]
         bytes_at[node.name] = b
         models.append(
@@ -205,18 +209,37 @@ def _build_node_models(
                 node=node,
                 visit=v,
                 workers=workers,
-                wall_seconds=ovh + compute + io,
+                compute_seconds=compute,
                 core_seconds=core,
-                overhead_seconds=ovh,
                 bytes_per_element=b,
-                io_seconds=io,
+                outputs_per_input=out_per_in,
+                transfer_seconds=transfer,
                 bytes_read=read,
                 below_cache=node.name in below,
                 serve_core_seconds=serve_core,
-                serve_wall_seconds=serve_wall,
             )
         )
+    _price(models, machine, overhead, granularity)
     return models
+
+
+def _price(
+    models: List[_NodeModel],
+    machine: Machine,
+    overhead: float,
+    granularity: int,
+) -> None:
+    """Set the run-dependent terms of ``models`` in place: the
+    per-element overhead and each source's storage wait."""
+    latency = machine.disk.read_latency
+    for m in models:
+        m.overhead_seconds = overhead / m.outputs_per_input
+        if isinstance(m.node, InterleaveSourceNode):
+            # Block-buffered reads: per-request latency is amortized over
+            # the larger of the chunk and the read-ahead block.
+            bpr = m.bytes_read
+            block = max(granularity * bpr, READ_BLOCK_BYTES)
+            m.io_seconds = m.transfer_seconds + latency * bpr / block
 
 
 def _cache_subtrees(models: List[_NodeModel]) -> Dict[str, set]:
@@ -306,23 +329,22 @@ def fill_caps(
     per-element overhead, the oversubscription penalty and storage
     latency at the batch-size chunk floor. The predicted root rate is
     ``min(caps.values())``; an empty dict means nothing bounds it.
-    Chunk sizing (:func:`~repro.runtime.executor.auto_granularity`)
-    and the §3 fleet study read their rates here.
+    Chunk sizing (:func:`~repro.runtime.executor.size_chunks`) and the
+    §3 fleet study read their rates here.
     """
     return _equilibrium_caps(
         _fill_models(pipeline, machine), machine, consumer_step_seconds
     )
 
 
-def _fill_overhead(machine: Machine) -> float:
-    """Per-element overhead chunk sizing charges: a traced run's."""
-    return machine.iterator_overhead + machine.tracer_overhead
-
-
 def _fill_models(pipeline: Pipeline, machine: Machine) -> List[_NodeModel]:
-    """The node models behind :func:`fill_caps`."""
+    """The node models behind :func:`fill_caps`: a traced run's overhead
+    at the chunk floor."""
     return _build_node_models(
-        pipeline, machine, _fill_overhead(machine), _granularity_floor(pipeline)
+        pipeline,
+        machine,
+        machine.iterator_overhead + machine.tracer_overhead,
+        _granularity_floor(pipeline),
     )
 
 
@@ -352,27 +374,11 @@ def _prepare(
     overhead = machine.iterator_overhead + (
         machine.tracer_overhead if config.trace else 0.0
     )
-    consumer_step = config.consumer.step_seconds_per_element
-    granularity = config.granularity
-    models = None
-    if not granularity:
-        # resolve_granularity's auto path, keeping the sizing models: a
-        # run at the chunk floor with the sizing overhead reuses them.
-        fill = _fill_models(pipeline, machine)
-        caps = _equilibrium_caps(fill, machine, consumer_step)
-        granularity = _granularity_for_rate(
-            pipeline,
-            min(caps.values(), default=math.inf),
-            config.duration,
-            config.event_budget or DEFAULT_EVENT_BUDGET,
-        )
-        if (
-            granularity == _granularity_floor(pipeline)
-            and overhead == _fill_overhead(machine)
-        ):
-            models = fill
+    granularity, models = size_chunks(pipeline, machine, config)
     if models is None:
         models = _build_node_models(pipeline, machine, overhead, granularity)
+    else:
+        _price(models, machine, overhead, granularity)
     epochs = (
         config.epochs if config.epochs is not None
         else _pipeline_epochs(pipeline)
@@ -381,7 +387,7 @@ def _prepare(
         config=config,
         models=models,
         granularity=granularity,
-        consumer_step=consumer_step,
+        consumer_step=config.consumer.step_seconds_per_element,
         epochs=epochs,
     )
 
@@ -642,8 +648,7 @@ def _trace_from(
     cpu_utilization = busy_core_seconds / (machine.cores * measured)
 
     return PipelineTrace(
-        program=pipeline_to_dict(pipeline),
-        traced=pipeline,
+        pipeline=pipeline,
         stats=stats,
         host=HostInfo.from_machine(machine),
         measured_seconds=measured,

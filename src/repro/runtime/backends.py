@@ -117,8 +117,8 @@ def available_backends() -> tuple:
 def register_backend(backend: TraceBackend, replace: bool = False) -> None:
     """Register a backend under its ``name`` for lookup by string.
 
-    Named registration is what lets a backend travel to worker
-    processes in the batch service's serialized job payloads.
+    Named registration is what lets the batch service key its result
+    cache on a backend.
     Re-registering an existing name raises unless ``replace=True``.
     """
     name = getattr(backend, "name", None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.graph.datasets import (
     CacheNode,
@@ -143,78 +143,88 @@ def auto_granularity(
     event_budget: int = DEFAULT_EVENT_BUDGET,
     consumer_step_seconds: float = 0.0,
 ) -> int:
-    """Pick a chunk size so one trace emits a bounded number of events.
+    """The event-budget chunk size (see :func:`size_chunks`) for a run
+    of ``duration`` virtual seconds."""
+    config = RunConfig(
+        duration=duration,
+        warmup=0.0,
+        event_budget=event_budget,
+        consumer=ModelConsumer(consumer_step_seconds),
+    )
+    return size_chunks(pipeline, machine, config)[0]
 
-    Chunking scales every stage's chunk count together, so the event
-    rate of the whole simulation is ``~ stages x events_per_chunk x
-    (element rate at the source) / granularity`` — independent of which
-    stage a chunk is at. Predicting the element rate with the analytic
-    model's caps therefore lets us solve for the granularity that
-    lands the run inside ``event_budget`` regardless of per-op cost:
-    µs-cost NLP pipelines (huge element rates) get coarse chunks
-    automatically, while low-rate vision pipelines keep the legacy
-    batch-size heuristic as a floor.
+
+def resolve_granularity(
+    pipeline: Pipeline, machine: Machine, config: RunConfig
+) -> int:
+    """The chunk size one run configuration resolves to (see
+    :func:`size_chunks`)."""
+    return size_chunks(pipeline, machine, config)[0]
+
+
+def size_chunks(
+    pipeline: Pipeline, machine: Machine, config: RunConfig
+) -> Tuple[int, Optional[list]]:
+    """The chunk size ``config`` resolves to, and the analytic node
+    models that priced it.
+
+    An explicit ``granularity`` is taken as is. Otherwise chunks are
+    sized so one trace emits a bounded number of events. Chunking
+    scales every stage's chunk count together, so the event rate of the
+    whole simulation is ``~ stages x events_per_chunk x (element rate
+    at the source) / granularity`` — independent of which stage a chunk
+    is at. Predicting the element rate with the analytic model's caps
+    therefore lets us solve for the granularity that lands the run
+    inside the event budget regardless of per-op cost: µs-cost NLP
+    pipelines (huge element rates) get coarse chunks automatically,
+    while low-rate vision pipelines keep the legacy batch-size
+    heuristic as a floor.
 
     The rate comes from the fill-regime caps, never the serve regime: a
     pipeline that gained a cache serves at the cached suffix's (much
     faster) rate, and chunks sized for that rate are so coarse the
     populate pass cannot push one through the chain within the trace
     window, so the trace reads throughput 0.
+
+    The models are :func:`~repro.runtime.analytic.fill_caps`'s (traced
+    overhead, chunk floor); the analytic backend re-prices them for its
+    run instead of building its own. They are ``None`` for an explicit
+    granularity or an unmodellable structure. Both backends size chunks
+    here, so a given :class:`RunConfig` always means the same chunking
+    regardless of how the trace is acquired.
     """
+    if config.granularity:
+        return config.granularity, None
     # Imported here: the analytic backend imports this module.
-    from repro.runtime.analytic import fill_caps
+    from repro.runtime.analytic import _equilibrium_caps, _fill_models
 
-    try:
-        caps = fill_caps(pipeline, machine, consumer_step_seconds)
-    except (ValueError, KeyError):  # unmodellable structure: keep floor
-        return _granularity_floor(pipeline)
-    return _granularity_for_rate(
-        pipeline, min(caps.values(), default=math.inf), duration, event_budget
-    )
-
-
-def _granularity_for_rate(
-    pipeline: Pipeline, rate: float, duration: float, event_budget: int
-) -> int:
-    """:func:`auto_granularity`'s chunk size for a predicted root rate."""
     floor = _granularity_floor(pipeline)
-    if not math.isfinite(rate) or rate <= 0:
-        return floor
+    try:
+        models = _fill_models(pipeline, machine)
+        caps = _equilibrium_caps(
+            models, machine, config.consumer.step_seconds_per_element
+        )
+    except (ValueError, KeyError):  # unmodellable structure: keep floor
+        return floor, None
+    rate = min(caps.values(), default=math.inf)
     ratios = pipeline.visit_ratios()
     source_elements = sum(
         ratios[s.name] for s in pipeline.sources()
         if math.isfinite(ratios[s.name])
     )
-    if source_elements <= 0:
-        return floor
+    if not (math.isfinite(rate) and rate > 0 and source_elements > 0):
+        return floor, models
+    produced = config.duration * rate * source_elements
     stages = len(ratios) + 1  # +1 for the consumer
-    events = duration * rate * source_elements * stages * _EVENTS_PER_CHUNK
-    need = math.ceil(events / event_budget)
+    events = produced * stages * _EVENTS_PER_CHUNK
+    need = math.ceil(events / (config.event_budget or DEFAULT_EVENT_BUDGET))
     # Timing-resolution cap: at least ~8 chunks must reach the root per
     # trace window, or the measurement is one burst and the fill
     # transient swallows the run. The floor wins when the two conflict
     # (very low-rate pipelines).
-    resolution_cap = math.floor(duration * rate * source_elements / 8.0)
+    resolution_cap = math.floor(produced / 8.0)
     need = min(need, max(floor, resolution_cap))
-    return int(min(_MAX_GRANULARITY, max(floor, need)))
-
-
-def resolve_granularity(
-    pipeline: Pipeline, machine: Machine, config: RunConfig
-) -> int:
-    """The chunk size one run configuration resolves to: the explicit
-    ``granularity`` if set, else the event-budget auto-tuner. The
-    analytic backend makes the same decision from the same pieces
-    (keeping the sizing models for reuse), so a given :class:`RunConfig`
-    always means the same chunking regardless of how the trace is
-    acquired."""
-    return config.granularity or auto_granularity(
-        pipeline,
-        machine,
-        duration=config.duration,
-        event_budget=config.event_budget or DEFAULT_EVENT_BUDGET,
-        consumer_step_seconds=config.consumer.step_seconds_per_element,
-    )
+    return int(min(_MAX_GRANULARITY, max(floor, need))), models
 
 
 def _total_threads(pipeline: Pipeline) -> float:

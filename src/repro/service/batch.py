@@ -10,7 +10,7 @@ the trace→analyze→optimize loop to a *fleet* of named pipelines:
   jobs — production fleets re-launch the same training program
   constantly — so each distinct (pipeline, machine, optimizer spec) is
   optimized exactly once,
-* results travel between processes as serialized pipeline programs
+* results are stored as serialized pipeline programs
   (:mod:`repro.graph.serialize`: "all Plumber traces are also valid
   programs"), keyed by :func:`repro.graph.signature.structural_signature`,
   :meth:`repro.host.machine.Machine.fingerprint`, and
@@ -21,7 +21,7 @@ the trace→analyze→optimize loop to a *fleet* of named pipelines:
 
 One :class:`~repro.core.spec.OptimizeSpec` is the whole optimizer
 configuration: the service holds a default spec, each job may carry its
-own, and the effective per-job spec is both the worker payload and the
+own, and the effective per-job spec is both what the worker runs and the
 cache identity — an analytic trace can never masquerade as a simulated
 one, and two jobs share work iff nothing that could change the result
 differs.
@@ -134,8 +134,8 @@ class JobResult:
     """Outcome of optimizing one fleet job.
 
     The rewritten pipeline is carried as its serialized program
-    (JSON text) — the transport format between worker processes — and
-    materialized on demand.
+    (JSON text) — the form the result store keeps — and materialized on
+    demand.
     """
 
     name: str
@@ -288,18 +288,16 @@ class FleetOptimizationReport:
 # ----------------------------------------------------------------------
 # Worker entry point — module-level so process pools can pickle it.
 # ----------------------------------------------------------------------
-def _optimize_serialized(payload: dict) -> dict:
-    """Run one optimization from a JSON-compatible payload.
+def _optimize_job(
+    pipeline: Pipeline, machine: Machine, spec: OptimizeSpec
+) -> dict:
+    """Run one optimization and return the JSON-compatible result the
+    store keeps.
 
-    Both directions of the hop are serialized programs, so this function
-    can execute in another process (or, in principle, another host)
-    without sharing any object graph with the caller. The spec travels
-    with the job: the worker-side Plumber is configured from exactly the
-    mapping the cache key hashed.
+    A process pool pickles the arguments; serial and thread pools pass
+    the job's own objects. The optimizer rewrites clones, so the input
+    pipeline is never changed (stamped fleets share it across jobs).
     """
-    pipeline = pipeline_from_json(payload["pipeline"])
-    machine = Machine.from_dict(payload["machine"])
-    spec = OptimizeSpec.from_dict(payload["spec"])
     result = Plumber(machine, spec=spec).optimize(pipeline)
     return {
         "pipeline": pipeline_to_json(result.pipeline),
@@ -323,6 +321,7 @@ class BatchOptimizer:
     executor:
         ``"thread"`` (default), ``"process"``, or ``"serial"``. Results
         are identical across all three — the simulator is deterministic.
+        A process pool pickles each job's pipeline, machine and spec.
         The simulation is pure Python, so only ``"process"`` buys real
         CPU parallelism; ``"thread"`` mostly overlaps with the GIL and
         is the safe default because the signature cache, not the pool,
@@ -333,8 +332,8 @@ class BatchOptimizer:
         The service-wide :class:`~repro.core.spec.OptimizeSpec`. Every
         job is optimized with this spec unless it carries its own; the
         effective per-job spec is part of that job's cache key. The
-        spec's ``passes`` and ``backend`` must be registry *names* (they
-        travel to worker processes as JSON).
+        spec's ``passes`` and ``backend`` must be registry *names*: the
+        spec's cache token is computed from them.
     store:
         Where keyed result entries live: any
         :class:`~repro.service.store.ResultStore`. Defaults to a fresh
@@ -387,7 +386,7 @@ class BatchOptimizer:
     # ------------------------------------------------------------------
     @staticmethod
     def _validate_spec(spec: OptimizeSpec, owner: str) -> None:
-        """Service specs must serialize: named backend + named passes.
+        """Service specs must be keyable: named backend + named passes.
 
         Both names are resolved here so an unknown name fails at
         construction/submission time with the owner's context, not deep
@@ -396,15 +395,14 @@ class BatchOptimizer:
         if not isinstance(spec.backend, str):
             raise TypeError(
                 f"{owner} backend must be a registered backend name "
-                "(it travels to worker processes as part of the payload)"
+                "(it is part of the result-cache key)"
             )
         resolve_backend(spec.backend)  # fail fast on unknown names
         for p in spec.passes:
             if not isinstance(p, str):
                 raise TypeError(
                     f"{owner} passes must be registered pass names "
-                    "(they travel to worker processes as part of the "
-                    "payload)"
+                    "(they are part of the result-cache key)"
                 )
         resolve_passes(spec.passes)  # fail fast on unknown names
 
@@ -484,10 +482,10 @@ class BatchOptimizer:
             )
 
         # Resolve each distinct key once: from the store when an intact
-        # entry exists, otherwise as a pool task. The payload carries the
-        # exact spec the cache key hashed.
+        # entry exists, otherwise as a pool task running the exact spec
+        # the cache key hashed.
         entries: Dict[str, dict] = {}
-        pending: Dict[str, dict] = {}
+        pending: Dict[str, OptimizationJob] = {}
         for job, _sig, key in keyed:
             if key in entries or key in pending:
                 continue
@@ -495,11 +493,7 @@ class BatchOptimizer:
             if entry is not None and isinstance(entry.get("result"), dict):
                 entries[key] = entry
                 continue
-            pending[key] = {
-                "pipeline": pipeline_to_json(job.pipeline),
-                "machine": job.machine.to_dict(),
-                "spec": job.spec.to_dict(),
-            }
+            pending[key] = job
 
         if pending:
             clock = self.metrics.clock
@@ -513,27 +507,27 @@ class BatchOptimizer:
                 "by backend",
             )
 
-            def _backend_label(payload: dict) -> str:
-                backend = payload["spec"].get("backend")
-                return backend if isinstance(backend, str) else "custom"
-
             depth.set(len(pending))
             pool = self._make_pool()
             if pool is None:
                 computed = {}
-                for key, payload in pending.items():
+                for key, job in pending.items():
                     start = clock()
-                    computed[key] = _optimize_serialized(payload)
+                    computed[key] = _optimize_job(
+                        job.pipeline, job.machine, job.spec
+                    )
                     job_seconds.labels(
-                        backend=_backend_label(payload)
+                        backend=job.spec.backend
                     ).observe(clock() - start)
                     depth.dec()
             else:
                 with pool:
                     started = clock()
                     futures = {
-                        key: pool.submit(_optimize_serialized, payload)
-                        for key, payload in pending.items()
+                        key: pool.submit(
+                            _optimize_job, job.pipeline, job.machine, job.spec
+                        )
+                        for key, job in pending.items()
                     }
                     computed = {}
                     for key, future in futures.items():
@@ -542,7 +536,7 @@ class BatchOptimizer:
                         # submit-to-result (queueing included) — the
                         # latency a caller actually experiences.
                         job_seconds.labels(
-                            backend=_backend_label(pending[key])
+                            backend=pending[key].spec.backend
                         ).observe(clock() - started)
                         depth.dec()
             for key, result in computed.items():
@@ -550,7 +544,7 @@ class BatchOptimizer:
                     "result": result,
                     "provenance": {
                         "producer": result.get("producer"),
-                        "spec": pending[key]["spec"],
+                        "spec": pending[key].spec.to_dict(),
                         "created_at": self._clock(),
                     },
                 }

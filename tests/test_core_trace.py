@@ -23,7 +23,7 @@ class TestTrace:
         assert trace.host.disk.max_bandwidth == test_machine.disk.max_bandwidth
 
     def test_trace_is_a_valid_program(self, trace, simple_pipeline):
-        rebuilt = trace.pipeline()
+        rebuilt = trace.pipeline
         assert [n.name for n in rebuilt.topological_order()] == [
             n.name for n in simple_pipeline.topological_order()
         ]

@@ -82,7 +82,7 @@ def test_golden_traces_parse_and_carry_programs():
         trace = PipelineTrace.from_json(load_golden(name)["trace"])
         assert trace.backend == "simulate"
         assert trace.stats, name
-        rebuilt = trace.pipeline()
+        rebuilt = trace.pipeline
         assert rebuilt.topological_order()
 
 

@@ -8,6 +8,7 @@ from repro.core.plumber import Plumber
 from repro.core.spec import OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 from repro.graph.builder import from_tfrecords
+from repro.graph.serialize import pipeline_to_json
 from repro.graph.signature import structural_signature
 from repro.host.machine import Machine
 from repro.service import BatchOptimizer
@@ -47,7 +48,7 @@ class TestStructuralSignature:
         assert structural_signature(a) != structural_signature(b)
 
     def test_stable_across_round_trip(self, small_catalog):
-        from repro.graph.serialize import pipeline_from_json, pipeline_to_json
+        from repro.graph.serialize import pipeline_from_json
 
         pipe = small_pipeline(small_catalog)
         restored = pipeline_from_json(pipeline_to_json(pipe))
@@ -148,6 +149,20 @@ class TestBatchOptimizer:
         for a, b in zip(threaded.jobs, report.jobs):
             assert a.decisions == b.decisions
             assert a.optimized_throughput == b.optimized_throughput
+
+    def test_input_pipelines_unchanged(self):
+        """Workers optimize the jobs' own Pipeline objects, and jobs
+        stamped from one template share one across thread workers: the
+        optimizer must rewrite clones, never its input."""
+        fleet = generate_pipeline_fleet(
+            num_jobs=6, distinct=2, seed=7, config=VISION_ONLY
+        )
+        before = [pipeline_to_json(j.pipeline) for j in fleet]
+        svc = BatchOptimizer(executor="thread", max_workers=2,
+                             spec=VISION_SPEC)
+        report = svc.optimize_fleet(fleet)
+        assert any(j.decisions for j in report.jobs)
+        assert [pipeline_to_json(j.pipeline) for j in fleet] == before
 
     def test_report_tables_render(self, report):
         table = report.to_table()
@@ -341,8 +356,8 @@ class TestPerJobOverrides:
 
 class TestProcessPool:
     def test_process_pool_matches_serial(self, small_catalog, test_machine):
-        """One tiny job through a real process pool: the serialized hop
-        (pipeline JSON out, rewritten program back) must be lossless."""
+        """One tiny job through a real process pool: the pickled hop
+        (job objects out, rewritten program back) must be lossless."""
         pipe = small_pipeline(small_catalog)
         serial = BatchOptimizer(machine=test_machine, executor="serial",
                                 spec=FAST_SPEC)

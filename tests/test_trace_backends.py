@@ -255,6 +255,56 @@ class TestAnalyticTrace:
                 simple_pipeline, machine, prepared.config
             )
 
+    @pytest.mark.parametrize("case", ["above_floor", "at_floor", "untraced"])
+    def test_node_models_built_once(self, case, monkeypatch, machine,
+                                    simple_pipeline, small_catalog):
+        """An analytic trace builds its node models once: chunk sizing
+        prices them, and the trace re-prices the run-dependent terms
+        (storage latency at the resolved granularity, the untraced
+        overhead) exactly as a fresh build at the run's settings. The
+        coarse case's chunks outgrow the read-ahead block, so its
+        storage latency differs from the floor's."""
+        from repro.runtime import analytic
+        from repro.runtime.executor import (
+            _granularity_floor,
+            resolve_granularity,
+        )
+
+        if case == "above_floor":
+            pipe = (
+                from_tfrecords(small_catalog, parallelism=2, name="src")
+                .map(make_udf("op", cpu=1e-6), parallelism=2, name="m")
+                .batch(16, name="b")
+                .prefetch(4, name="pf")
+                .repeat(None, name="r")
+                .build("nlp_like")
+            )
+        else:
+            pipe = simple_pipeline
+        run = dict(duration=2.0, warmup=0.5, trace=case != "untraced")
+        if case == "above_floor":
+            run["event_budget"] = 5_000
+        granularity = resolve_granularity(pipe, machine, RunConfig(**run))
+        floor = _granularity_floor(pipe)
+        assert (granularity > floor) == (case == "above_floor")
+
+        build = analytic._build_node_models
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(analytic, "_build_node_models", spy)
+        analytic_trace(pipe, machine, **run)
+        assert len(calls) == 1
+        prepared = analytic._prepare(pipe, machine, None, run)
+        overhead = machine.iterator_overhead + (
+            machine.tracer_overhead if run["trace"] else 0.0
+        )
+        assert prepared.granularity == granularity
+        assert prepared.models == build(pipe, machine, overhead, granularity)
+
     def test_sub_cache_production_bounded_by_one_epoch(self, machine,
                                                        small_catalog):
         cached = (
