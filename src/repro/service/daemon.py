@@ -218,8 +218,11 @@ class _Batch:
     """One submitted batch's lifecycle record."""
 
     id: str
+    #: emptied when the batch starts running: a finished record keeps
+    #: its report, not the jobs' pipelines (optimizing them caches each
+    #: source's file list on its catalog)
     jobs: List[OptimizationJob]
-    lanes: Dict[str, int]
+    lanes: Dict[str, int]           # job count per admission lane
     status: str = "queued"          # queued -> running -> done | failed
     report: Optional[FleetOptimizationReport] = None
     error: Optional[str] = None
@@ -625,8 +628,9 @@ class OptimizationDaemon:
     def _run_batch(self, batch: _Batch) -> None:
         batch.status = "running"
         started = self.metrics.clock()
+        jobs, batch.jobs = batch.jobs, []
         try:
-            batch.report = self.optimizer.optimize_fleet(batch.jobs)
+            batch.report = self.optimizer.optimize_fleet(jobs)
             batch.status = "done"
         except Exception as exc:  # report, don't kill the daemon
             batch.error = f"{type(exc).__name__}: {exc}"
@@ -702,7 +706,7 @@ class OptimizationDaemon:
         status = {
             "id": batch.id,
             "status": batch.status,
-            "jobs": len(batch.jobs),
+            "jobs": sum(batch.lanes.values()),
             "lanes": batch.lanes,
         }
         if batch.error is not None:

@@ -113,7 +113,9 @@ class TestLifecycle:
         )
         assert status == 202
         final = _wait_done(daemon.url, accepted["id"])
-        assert final["status"] == "done"
+        assert final["status"] == "done" and final["jobs"] == 2
+        # A finished record keeps its report, not the jobs' pipelines.
+        assert daemon._batches[accepted["id"]].jobs == []
         status, report, _ = _get(f"{daemon.url}/report/{accepted['id']}")
         assert status == 200
         assert [j["name"] for j in report["jobs"]] == ["a", "b"]

@@ -270,6 +270,7 @@ class TestAnalyticTrace:
             resolve_granularity,
         )
 
+        run = dict(duration=2.0, warmup=0.5, trace=case != "untraced")
         if case == "above_floor":
             pipe = (
                 from_tfrecords(small_catalog, parallelism=2, name="src")
@@ -279,11 +280,9 @@ class TestAnalyticTrace:
                 .repeat(None, name="r")
                 .build("nlp_like")
             )
+            run["event_budget"] = 5_000
         else:
             pipe = simple_pipeline
-        run = dict(duration=2.0, warmup=0.5, trace=case != "untraced")
-        if case == "above_floor":
-            run["event_budget"] = 5_000
         granularity = resolve_granularity(pipe, machine, RunConfig(**run))
         floor = _granularity_floor(pipe)
         assert (granularity > floor) == (case == "above_floor")
