@@ -131,7 +131,13 @@ def fit_piecewise(
         if x2 == x1:
             continue
         slope = (y2 - y1) / (x2 - x1)
-        segments.append((slope, y1 - slope * x1))
+        # ``y1 - slope * x1`` can round below a point when ``slope * x``
+        # dwarfs ``y`` (a steep rise from a small bandwidth); raise the
+        # intercept by ulps until the line covers every point in floats.
+        intercept = float(np.max(ys - slope * xs))
+        while np.any(slope * xs + intercept < ys):
+            intercept = float(np.nextafter(intercept, np.inf))
+        segments.append((slope, intercept))
     # Flat tail beyond the last measurement.
     segments.append((0.0, hull[-1][1]))
     if len(hull) == 1:

@@ -167,6 +167,14 @@ class TestDiskPlanner:
         # Flat beyond the last point.
         assert min(s * 100 + c for s, c in segments) == pytest.approx(400.0)
 
+    def test_fit_covers_steep_rise_from_small_bandwidth(self):
+        # slope * x ~ 1.7e10 here, so the naive intercept rounds the
+        # line ~1.5e-6 below the first point.
+        xs, ys = [20, 21], [1.1, 858993461.0]
+        segments = fit_piecewise(xs, ys)
+        for x, y in zip(xs, ys):
+            assert min(s * x + c for s, c in segments) >= y
+
     def test_fit_single_point(self):
         segments = fit_piecewise([4], [250.0])
         assert segments == [(0.0, 250.0)]
