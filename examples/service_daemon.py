@@ -2,17 +2,16 @@
 
 Starts an :class:`~repro.service.OptimizationDaemon` backed by a
 disk-persistent result store, submits a small mixed fleet as serialized
-programs via ``POST /optimize``, polls ``GET /jobs/<id>``, fetches the
-finished report, and prints ``GET /stats``. A second daemon pointed at
-the same cache directory then serves the identical fleet entirely from
-disk — the cheap, repeatable optimization service the paper argues for.
+programs via ``POST /optimize``, long-polls ``GET /jobs/<id>?wait=``,
+fetches the finished report, and prints ``GET /stats``. A second daemon
+pointed at the same cache directory then serves the identical fleet
+entirely from disk — the cheap, repeatable optimization service the paper argues for.
 
 Run: ``python examples/service_daemon.py``
 """
 
 import json
 import tempfile
-import time
 import urllib.request
 
 from repro.core.spec import OptimizeSpec
@@ -31,7 +30,7 @@ def call(url, body=None):
 
 
 def submit_and_wait(base, fleet, spec):
-    """POST a fleet of serialized programs, poll until done, return report."""
+    """POST a fleet of serialized programs, wait until done, return report."""
     body = {
         "spec": spec.to_dict(),
         "jobs": [
@@ -45,10 +44,10 @@ def submit_and_wait(base, fleet, spec):
     print(f"submitted {accepted['jobs']} jobs as {accepted['id']} "
           f"(status: {accepted['status']})")
     while True:
-        status = call(f"{base}/jobs/{accepted['id']}")
+        # The daemon answers when the batch finishes (or after 10 s).
+        status = call(f"{base}/jobs/{accepted['id']}?wait=10")
         if status["status"] in ("done", "failed"):
             break
-        time.sleep(0.05)
     assert status["status"] == "done", status
     return call(f"{base}/report/{accepted['id']}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class FileCatalog:
         self._files: List[FileStat] | None = None
 
     # ------------------------------------------------------------------
-    def _generate(self) -> List[FileStat]:
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-file record counts and byte sizes, drawn from the seed."""
         rng = np.random.default_rng(self.seed)
         if self.size_cv > 0:
             # Lognormal with the requested mean and CV for record counts.
@@ -92,7 +93,10 @@ class FileCatalog:
         else:
             counts = np.full(self.num_files, self.records_per_file)
         counts = np.maximum(1, np.round(counts)).astype(int)
-        sizes = counts * self.bytes_per_record
+        return counts, counts * self.bytes_per_record
+
+    def _generate(self) -> List[FileStat]:
+        counts, sizes = self._arrays()
         return [
             FileStat(
                 name=f"{self.name}/part-{i:05d}",
@@ -104,9 +108,7 @@ class FileCatalog:
 
     @property
     def files(self) -> Sequence[FileStat]:
-        """All file stats (generated lazily, cached; never changed, so
-        :attr:`total_bytes` and :attr:`total_records` are computed
-        once)."""
+        """All file stats (generated lazily on first use and cached)."""
         if self._files is None:
             self._files = self._generate()
         return self._files
@@ -119,14 +121,23 @@ class FileCatalog:
 
     # ------------------------------------------------------------------
     @cached_property
+    def _totals(self) -> Tuple[float, int]:
+        # From the arrays, not :attr:`files`: the analytic path reads
+        # only these sums and need not build one FileStat per file.
+        # ``sum`` over the Python floats adds in the same order as a
+        # sum over the FileStats, so the result is bit-identical.
+        counts, sizes = self._arrays()
+        return float(sum(sizes.tolist())), int(counts.sum())
+
+    @property
     def total_bytes(self) -> float:
         """Exact dataset size in bytes (ground truth for §5.3)."""
-        return float(sum(f.size_bytes for f in self.files))
+        return self._totals[0]
 
-    @cached_property
+    @property
     def total_records(self) -> int:
         """Exact record count (ImageNet: ~1.2M)."""
-        return int(sum(f.num_records for f in self.files))
+        return self._totals[1]
 
     @property
     def mean_bytes_per_record(self) -> float:

@@ -3,7 +3,7 @@
 :class:`OptimizationClient` wraps the daemon's endpoints
 (:mod:`repro.service.daemon`) behind the same in-process surface the
 rest of the service exposes: submit a fleet of *serialized programs*,
-poll with backoff, and get a real
+long-poll its status, and get a real
 :class:`~repro.service.batch.FleetOptimizationReport` back — every
 ``GET /report/<id>`` job is rehydrated through
 :func:`repro.graph.serialize.pipeline_from_dict`, so remote results are
@@ -164,10 +164,16 @@ class OptimizationClient:
         Default batch :class:`OptimizeSpec` sent with every submission
         (per-job specs still override it daemon-side).
     timeout:
-        Socket timeout per HTTP request, seconds.
+        Socket timeout per HTTP request, seconds. :meth:`wait`'s
+        long-polls ask the daemon to hold each answer for at most half
+        of it, so an answer always arrives before the socket gives up.
     poll_interval / max_poll_interval:
-        :meth:`wait` starts polling at ``poll_interval`` and backs off
-        exponentially to ``max_poll_interval``.
+        The pause after a status answer that is still pending. It
+        starts at ``poll_interval`` and doubles up to
+        ``max_poll_interval``. Against this package's daemon such an
+        answer means a whole long-poll ran out, so the pause is rare;
+        it keeps a server that ignores ``?wait=`` from being polled in
+        a tight loop.
     max_retries:
         How many ``429`` answers :meth:`submit` absorbs (sleeping per
         the daemon's ``Retry-After``) before giving up.
@@ -397,15 +403,30 @@ class OptimizationClient:
                 continue
             raise self._error(status, payload, "submit rejected")
 
-    def status(self, batch_id: str) -> dict:
-        """``GET /jobs/<id>`` — one status snapshot."""
-        status, payload, _ = self._request("GET", f"/jobs/{batch_id}")
+    def status(self, batch_id: str, wait: Optional[float] = None) -> dict:
+        """``GET /jobs/<id>`` — one status snapshot.
+
+        With ``wait`` (seconds), the daemon holds the answer until the
+        batch is done or failed, or the wait runs out (the daemon caps
+        it); keep it below the client's socket ``timeout``.
+        """
+        path = f"/jobs/{batch_id}"
+        if wait is not None:
+            path += f"?wait={wait:.3f}"
+        status, payload, _ = self._request("GET", path)
         if status != 200:
             raise self._error(status, payload, f"status of {batch_id!r}")
         return payload
 
     def wait(self, batch_id: str, timeout: float = 600.0) -> dict:
-        """Poll ``GET /jobs/<id>`` with backoff until done/failed.
+        """Long-poll ``GET /jobs/<id>?wait=`` until done/failed.
+
+        Each request asks the daemon to wait for the time left before
+        the deadline, capped at half the socket ``timeout``. A batch
+        that finishes within one wait costs one request and no sleep.
+        A still-pending answer is followed by a backoff pause
+        (``poll_interval`` doubling to ``max_poll_interval``), so a
+        server that ignores ``wait`` is polled, not hammered.
 
         Raises :class:`ClientTimeout` when the batch is still pending
         at the deadline — callers distinguish "took too long" (maybe
@@ -414,7 +435,9 @@ class OptimizationClient:
         deadline = self._clock() + timeout
         interval = self.poll_interval
         while True:
-            payload = self.status(batch_id)
+            remaining = deadline - self._clock()
+            payload = self.status(
+                batch_id, wait=max(0.0, min(remaining, self.timeout / 2)))
             if payload["status"] in ("done", "failed"):
                 return payload
             remaining = deadline - self._clock()

@@ -18,7 +18,10 @@ endpoints:
   ``202`` with a batch id, or ``429`` with a retry hint when admission
   control is saturated.
 * ``GET /jobs/<id>`` — batch status (``queued``/``running``/``done``/
-  ``failed``).
+  ``failed``). With ``?wait=<seconds>`` the answer is a long-poll: it
+  comes as soon as the batch is ``done`` or ``failed``, or once the
+  wait (capped at :data:`MAX_STATUS_WAIT_SECONDS`) runs out, so a
+  client learns of a finished batch without polling on a timer.
 * ``GET /report/<id>`` — the finished batch's full
   :class:`FleetOptimizationReport` as JSON (rewritten programs
   included: all results are valid programs).
@@ -92,6 +95,10 @@ from repro.service.batch import (
 #: the discrete-event simulator or a custom backend (simulate, custom)
 ANALYTIC_LANE = "analytic"
 SIMULATE_LANE = "simulate"
+
+#: ceiling on one ``GET /jobs/<id>?wait=`` long-poll: a waiting request
+#: holds one server thread, so no client can park it for longer
+MAX_STATUS_WAIT_SECONDS = 20.0
 
 
 def job_lane(spec: OptimizeSpec) -> str:
@@ -219,8 +226,7 @@ class _Batch:
 
     id: str
     #: emptied when the batch starts running: a finished record keeps
-    #: its report, not the jobs' pipelines (optimizing them caches each
-    #: source's file list on its catalog)
+    #: its report, not the jobs' parsed pipelines
     jobs: List[OptimizationJob]
     lanes: Dict[str, int]           # job count per admission lane
     status: str = "queued"          # queued -> running -> done | failed
@@ -247,6 +253,19 @@ class _RequestError(Exception):
 def _finite(value: float) -> Optional[float]:
     """JSON-safe float: NaN/inf become null."""
     return value if math.isfinite(value) else None
+
+
+def _wait_seconds(raw: str) -> float:
+    """A ``?wait=`` value: a finite number of seconds >= 0, else 400."""
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise _RequestError(
+            400, f"'wait' must be a finite number of seconds >= 0, "
+                 f"got {raw!r}")
+    return seconds
 
 
 class OptimizationDaemon:
@@ -328,8 +347,11 @@ class OptimizationDaemon:
         self._batches: Dict[str, _Batch] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        #: notified whenever a batch finishes — the drain wait's pulse
+        #: notified whenever a batch finishes — the pulse of the drain
+        #: wait and of ``?wait=`` long-polls — and once close() drains
         self._batch_done = threading.Condition(self._lock)
+        #: set once close() has drained: long-polls answer at once
+        self._drained = False
         self._pool: Optional[ThreadPoolExecutor] = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
@@ -356,6 +378,7 @@ class OptimizationDaemon:
         daemon can be started again)."""
         self._draining = False
         self._draining_gauge.set(0)
+        self._drained = False
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-daemon"
@@ -466,6 +489,11 @@ class OptimizationDaemon:
                     if remaining <= 0:
                         break
                     self._batch_done.wait(min(remaining, 0.1))
+        with self._batch_done:
+            # The drain is over: answer every long-poll now rather than
+            # let it hold a server thread for the rest of its wait.
+            self._drained = True
+            self._batch_done.notify_all()
         if self._gc_thread is not None:
             self._gc_stop.set()
             self._gc_thread.join(timeout=5)
@@ -647,7 +675,7 @@ class OptimizationDaemon:
             self.admission.release(batch.lanes)
             self._evict_finished()
             with self._batch_done:
-                self._batch_done.notify_all()  # pulse the drain wait
+                self._batch_done.notify_all()  # drain wait, long-polls
 
     def _evict_finished(self) -> None:
         """Drop the earliest-*finished* batch records beyond the bound.
@@ -700,6 +728,18 @@ class OptimizationDaemon:
         if batch is None:
             raise _RequestError(404, f"unknown batch {batch_id!r}")
         return batch
+
+    def wait_for_batch(self, batch_id: str, seconds: float) -> None:
+        """Block until the batch is done or failed, the daemon has
+        drained, or ``seconds`` (capped at
+        :data:`MAX_STATUS_WAIT_SECONDS`) pass: the wait of a
+        ``GET /jobs/<id>?wait=`` long-poll."""
+        batch = self._batch(batch_id)
+        with self._batch_done:
+            self._batch_done.wait_for(
+                lambda: batch.status in ("done", "failed") or self._drained,
+                timeout=min(seconds, MAX_STATUS_WAIT_SECONDS),
+            )
 
     def job_status(self, batch_id: str) -> dict:
         batch = self._batch(batch_id)
@@ -986,6 +1026,9 @@ class _DaemonHandler(BaseHTTPRequestHandler):
                 else:
                     self._send_text(200, self.daemon.metrics_text())
             elif len(parts) == 2 and parts[0] == "jobs":
+                wait = self._query_param("wait")
+                if wait is not None:
+                    self.daemon.wait_for_batch(parts[1], _wait_seconds(wait))
                 self._send_json(200, self.daemon.job_status(parts[1]))
             elif len(parts) == 2 and parts[0] == "report":
                 self._send_json(200, self.daemon.report_json(parts[1]))

@@ -239,7 +239,9 @@ class DiskStore:
         payload = {"schema": STORE_SCHEMA_VERSION, "entry": entry}
         try:
             with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(payload, f, sort_keys=True)
+                # One encode and one write: json.dump streams the
+                # document through many small writes.
+                f.write(json.dumps(payload, sort_keys=True))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)

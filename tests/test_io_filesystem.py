@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.plumber import Plumber
+from repro.core.spec import OptimizeSpec
+from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 from repro.io.filesystem import FileCatalog, FileStat
 
 
@@ -23,6 +26,32 @@ class TestFileCatalog:
             sum(f.size_bytes for f in cat.files)
         )
         assert cat.total_records == sum(f.num_records for f in cat.files)
+
+    @pytest.mark.parametrize("seed,size_cv", [
+        (0, 0.0), (1, 0.05), (7, 0.15), (42, 0.3), (123, 1.0)])
+    def test_totals_bit_equal_to_per_file_sums(self, seed, size_cv):
+        """The totals come from the generated arrays without building
+        the file list, and equal the per-FileStat sums exactly."""
+        cat = FileCatalog("d", 257, 331.0, 1234.5, size_cv=size_cv,
+                          seed=seed)
+        total_bytes, total_records = cat.total_bytes, cat.total_records
+        assert cat._files is None
+        assert total_bytes == float(sum(f.size_bytes for f in cat.files))
+        assert total_records == int(sum(f.num_records for f in cat.files))
+
+    def test_analytic_optimize_leaves_file_lists_unbuilt(self):
+        fleet = generate_pipeline_fleet(
+            num_jobs=10, distinct=10, seed=11,
+            config=FleetConfig(domain_weights={
+                "vision": 1.0, "nlp": 1.0, "rl": 1.0, "multimodal": 1.0,
+                "rl_replay": 1.0}),
+        )
+        spec = OptimizeSpec(backend="analytic")
+        for job in fleet:
+            Plumber(job.machine, spec=spec).optimize(job.pipeline)
+            catalogs = [s.catalog for s in job.pipeline.sources()]
+            assert catalogs
+            assert all(c._files is None for c in catalogs), job.name
 
     def test_mean_size_near_request(self):
         cat = FileCatalog("d", 500, 1000.0, 100.0, size_cv=0.2, seed=2)

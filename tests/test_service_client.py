@@ -21,6 +21,7 @@ from repro.service import (
     BatchFailedError,
     BatchOptimizer,
     ClientError,
+    ClientTimeout,
     DiskStore,
     FleetOptimizationReport,
     JobResult,
@@ -31,6 +32,7 @@ from repro.service import (
     ShardedOptimizer,
 )
 from repro.service.client import fleet_to_body, report_from_dict
+from tests.faults import FaultyHTTPServer, ok
 from tests.test_service import small_pipeline
 
 #: analytic backend keeps every client test sub-second
@@ -202,6 +204,61 @@ class TestClientRoundTrip:
         client = OptimizationClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ClientError, match="unreachable"):
             client.stats()
+
+
+# ----------------------------------------------------------------------
+# Long-poll wait: one status request per short batch, backoff otherwise
+# ----------------------------------------------------------------------
+def _jobs_requests(client):
+    """``GET /jobs/<id>`` requests the client has sent, any status."""
+    return sum(value for series, value in client.metrics.summary().items()
+               if series.startswith("repro_client_requests_total{")
+               and 'route="jobs"' in series)
+
+
+class TestLongPollWait:
+    def test_short_batch_costs_one_status_request(self, daemon):
+        sleeps = []
+        client = OptimizationClient(daemon.url, sleep=sleeps.append)
+        report = client.optimize_fleet(make_fleet())
+        assert report.cache_misses == 3
+        assert _jobs_requests(client) == 1
+        assert sleeps == []
+
+    def test_wait_is_sent_below_the_socket_timeout(self, daemon):
+        client = OptimizationClient(daemon.url, timeout=4.0)
+        sent = []
+        status = client.status
+        client.status = lambda batch_id, wait=None: (
+            sent.append(wait) or status(batch_id, wait=wait))
+        accepted = client.submit(make_fleet())
+        assert client.wait(accepted["id"], timeout=600)["status"] == "done"
+        assert sent == [2.0]
+
+    def test_server_ignoring_wait_is_polled_with_backoff(self):
+        """A stub that answers ``running`` at once, whatever ``wait``
+        asks: the client pauses ``poll_interval`` doubling up to
+        ``max_poll_interval`` between polls and times out at the
+        deadline. Binary-exact intervals keep the sums exact."""
+        with FaultyHTTPServer({
+            ("GET", "/jobs/b1"): ok({"id": "b1", "status": "running",
+                                     "jobs": 1, "lanes": {}}),
+        }) as server:
+            now = [0.0]
+            sleeps = []
+
+            def sleep(seconds):
+                sleeps.append(seconds)
+                now[0] += seconds
+
+            client = OptimizationClient(
+                server.url, poll_interval=0.125, max_poll_interval=0.5,
+                sleep=sleep, clock=lambda: now[0])
+            with pytest.raises(ClientTimeout, match="still 'running'"):
+                client.wait("b1", timeout=1.5)
+        assert sleeps == [0.125, 0.25, 0.5, 0.5, 0.125]
+        assert server.requests == [("GET", "/jobs/b1")] * 6
+        assert _jobs_requests(client) == 6
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.spec import OptimizeSpec
 from repro.graph.serialize import pipeline_to_dict
+from repro.service import daemon as daemon_module
 from repro.service import (
     AdmissionController,
     BatchOptimizer,
@@ -540,6 +541,111 @@ class TestBugfixRegressions:
         # Unknown endpoints still 404 with or without a query string.
         assert _get(f"{daemon.url}/nope?x=1")[0] == 404
         assert _post(f"{daemon.url}/nope?x=1", {})[0] == 404
+
+
+class TestLongPoll:
+    """``GET /jobs/<id>?wait=``: the answer comes when the batch
+    finishes or the wait runs out, not on the client's next poll."""
+
+    @pytest.fixture
+    def held(self, daemon, small_catalog, test_machine):
+        """A submitted batch held inside the optimizer until the
+        returned gate is set; yields ``(daemon, batch_id, gate)``."""
+        gate = threading.Event()
+        original = daemon.optimizer.optimize_fleet
+
+        def gated(jobs):
+            assert gate.wait(timeout=60)
+            return original(jobs)
+
+        daemon.optimizer.optimize_fleet = gated
+        body = _job_body("held", small_pipeline(small_catalog), test_machine)
+        status, accepted, _ = _post(f"{daemon.url}/optimize", body)
+        assert status == 202
+        try:
+            yield daemon, accepted["id"], gate
+        finally:
+            gate.set()
+
+    @staticmethod
+    def _long_poll(url):
+        """Run ``_get(url)`` in a thread; the result list gets
+        ``(monotonic time answered, status, payload)``."""
+        answers = []
+
+        def run():
+            status, payload, _ = _get(url)
+            answers.append((time.monotonic(), status, payload))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, answers
+
+    def test_answers_when_the_gate_opens_not_before(self, held):
+        daemon, batch_id, gate = held
+        thread, answers = self._long_poll(
+            f"{daemon.url}/jobs/{batch_id}?wait=15")
+        time.sleep(0.3)
+        assert answers == []  # still held: the batch has not finished
+        opened = time.monotonic()
+        gate.set()
+        thread.join(timeout=10)
+        answered, status, payload = answers[0]
+        assert status == 200 and payload["status"] == "done"
+        assert opened <= answered < opened + 2.0
+
+    def test_finished_batch_answers_at_once(self, daemon, small_catalog,
+                                            test_machine):
+        body = _job_body("a", small_pipeline(small_catalog), test_machine)
+        _, accepted, _ = _post(f"{daemon.url}/optimize", body)
+        _wait_done(daemon.url, accepted["id"])
+        start = time.monotonic()
+        status, payload, _ = _get(
+            f"{daemon.url}/jobs/{accepted['id']}?wait=15")
+        assert status == 200 and payload["status"] == "done"
+        assert time.monotonic() - start < 1.0
+
+    def test_pending_batch_answers_running_when_wait_runs_out(self, held):
+        daemon, batch_id, _ = held
+        start = time.monotonic()
+        status, payload, _ = _get(f"{daemon.url}/jobs/{batch_id}?wait=0.3")
+        elapsed = time.monotonic() - start
+        assert status == 200 and payload["status"] == "running"
+        assert 0.3 <= elapsed < 5.0
+
+    def test_wait_is_capped_by_the_daemon(self, held, monkeypatch):
+        daemon, batch_id, _ = held
+        monkeypatch.setattr(daemon_module, "MAX_STATUS_WAIT_SECONDS", 0.2)
+        start = time.monotonic()
+        status, payload, _ = _get(f"{daemon.url}/jobs/{batch_id}?wait=60")
+        assert status == 200 and payload["status"] == "running"
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "abc", "inf", ""])
+    def test_bad_wait_is_400(self, held, bad):
+        daemon, batch_id, _ = held
+        status, payload, _ = _get(f"{daemon.url}/jobs/{batch_id}?wait={bad}")
+        assert status == 400
+        assert "'wait'" in payload["error"]
+
+    def test_wait_on_unknown_batch_is_404(self, daemon):
+        status, _, _ = _get(f"{daemon.url}/jobs/batch-9999?wait=5")
+        assert status == 404
+
+    def test_close_answers_an_inflight_long_poll(self, held):
+        """The drain ends the wait: close() returns within its budget
+        and the long-poll answers then, not when its 15 s run out."""
+        daemon, batch_id, _ = held
+        thread, answers = self._long_poll(
+            f"{daemon.url}/jobs/{batch_id}?wait=15")
+        time.sleep(0.2)
+        start = time.monotonic()
+        daemon.close(wait=True, drain_timeout=0.3)
+        assert time.monotonic() - start < 3.0
+        thread.join(timeout=5)
+        answered, status, payload = answers[0]
+        assert status == 200 and payload["status"] == "running"
+        assert answered - start < 3.0
 
 
 class TestHealthEndpoints:

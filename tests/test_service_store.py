@@ -79,6 +79,14 @@ class TestDiskStore:
         assert data["entry"] == {"result": {"x": 1}}
         assert store.keys() == ("k1",)
 
+    def test_entry_file_is_one_sorted_json_document(self, tmp_path):
+        entry = {"result": {"z": [1.5, None], "a": "x"},
+                 "provenance": {"created_at": 12.25}}
+        DiskStore(tmp_path).put("k1", entry)
+        assert (tmp_path / "k1.json").read_bytes() == json.dumps(
+            {"schema": STORE_SCHEMA_VERSION, "entry": entry},
+            sort_keys=True).encode("utf-8")
+
     def test_fresh_instance_reads_existing_entries(self, tmp_path):
         DiskStore(tmp_path).put("k1", {"result": {"x": 1}})
         assert DiskStore(tmp_path).get("k1") == {"result": {"x": 1}}
