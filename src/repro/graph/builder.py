@@ -80,7 +80,8 @@ class DatasetBuilder:
         keep_fraction: float = 1.0,
         name: Optional[str] = None,
     ) -> "DatasetBuilder":
-        """Sequentially filter elements, keeping ``keep_fraction``."""
+        """Sequentially filter elements, keeping ``keep_fraction``
+        (``udf.examples_ratio`` must be 1)."""
         return DatasetBuilder(
             FilterNode(
                 _auto_name(f"filter_{udf.name}", name), self.node, udf, keep_fraction

@@ -20,6 +20,12 @@ paper's five MLPerf pipelines (Figure 1, Figure 2, §2.1):
   consumer, but merge nodes pull from two or more child subgraphs
   (image+caption multimodal, RL replay-buffer mixing).
 
+Each node class declares its constructor parameters once, in
+:attr:`DatasetNode.params`. :meth:`DatasetNode.attrs` reads them for
+serialization, and both :mod:`repro.graph.serialize` and
+:meth:`DatasetNode.with_inputs` build nodes back from them through
+:meth:`DatasetNode.from_params`.
+
 A :class:`Pipeline` is a snapshot of its graph's *structure*: which
 nodes it holds and how they connect are indexed once, when it is built.
 Node attributes that are not structure (parallelism above all) may be
@@ -33,7 +39,7 @@ root — means building a new :class:`Pipeline`, as the rewriter's
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.udf import UserFunction
 
@@ -63,6 +69,12 @@ class DatasetNode:
     #: operators, ``None`` for variadic merge nodes (two or more
     #: inputs); checked by :func:`repro.graph.validate.validate_pipeline`
     input_arity: Optional[int] = 1
+    #: constructor keyword parameters besides ``name``, the inputs and
+    #: ``parallelism``, each readable as an attribute of the same name:
+    #: the node's serialized ``attrs`` (:mod:`repro.graph.serialize`)
+    params: Tuple[str, ...] = ()
+    #: the user function attached to this node, if any
+    udf: Optional[UserFunction] = None
 
     def __init__(
         self,
@@ -92,11 +104,6 @@ class DatasetNode:
         return max(1, int(self.parallelism))
 
     @property
-    def udf(self) -> Optional[UserFunction]:
-        """The user function attached to this node, if any."""
-        return getattr(self, "_udf", None)
-
-    @property
     def merges(self) -> bool:
         """True for fan-in nodes (declared variadic input arity)."""
         return self.input_arity is None
@@ -122,16 +129,37 @@ class DatasetNode:
         return 1.0 / ratio
 
     def attrs(self) -> dict:
-        """Node-specific serializable attributes."""
-        return {}
+        """The :attr:`params` by name (nested objects as they are;
+        :mod:`repro.graph.serialize` encodes them)."""
+        # A plain loop: on CPython 3.11 a dict comprehension costs
+        # about twice as much for these few keys.
+        attrs = {}
+        for key in self.params:
+            attrs[key] = getattr(self, key)
+        return attrs
 
-    def copy_with(self, **overrides) -> "DatasetNode":
-        """Shallow-clone this node, overriding constructor kwargs.
+    @classmethod
+    def from_params(
+        cls, name: str, inputs: Sequence["DatasetNode"], attrs: dict
+    ) -> "DatasetNode":
+        """Construct a node of this kind reading from ``inputs``;
+        ``attrs`` holds :attr:`params` (and ``parallelism``) by name."""
+        args = (list(inputs),) if cls.input_arity is None else tuple(inputs)
+        return cls(name, *args, **attrs)
 
-        ``inputs`` is always replaced by the caller during a graph clone;
-        other attributes default to their current values.
+    def with_inputs(self, inputs: Sequence["DatasetNode"]) -> "DatasetNode":
+        """A copy of this node reading from ``inputs`` (UDFs and
+        catalogs shared).
+
+        The copy goes through the constructor rather than copying
+        ``__dict__``: reading an instance's ``__dict__`` turns its
+        attributes into a plain dict, which CPython reads about twice as
+        slowly, and the analysis layer reads node attributes a lot.
         """
-        raise NotImplementedError
+        attrs = self.attrs()
+        if self.tunable:
+            attrs["parallelism"] = self.parallelism
+        return self.from_params(self.name, inputs, attrs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         par = f", parallelism={self.parallelism}" if self.tunable else ""
@@ -148,6 +176,7 @@ class InterleaveSourceNode(DatasetNode):
     kind = "interleave_source"
     tunable = True
     input_arity = 0
+    params = ("catalog", "read_cpu_seconds_per_record")
 
     def __init__(
         self,
@@ -160,25 +189,6 @@ class InterleaveSourceNode(DatasetNode):
         self.catalog = catalog
         self.read_cpu_seconds_per_record = read_cpu_seconds_per_record
 
-    def elements_ratio(self) -> float:
-        return 1.0
-
-    def attrs(self) -> dict:
-        return {
-            "catalog": self.catalog.to_dict(),
-            "read_cpu_seconds_per_record": self.read_cpu_seconds_per_record,
-        }
-
-    def copy_with(self, **overrides) -> "InterleaveSourceNode":
-        return InterleaveSourceNode(
-            name=overrides.get("name", self.name),
-            catalog=overrides.get("catalog", self.catalog),
-            parallelism=overrides.get("parallelism", self.parallelism),
-            read_cpu_seconds_per_record=overrides.get(
-                "read_cpu_seconds_per_record", self.read_cpu_seconds_per_record
-            ),
-        )
-
 
 class MapNode(DatasetNode):
     """Apply a UDF to every element, with optional parallelism.
@@ -190,6 +200,7 @@ class MapNode(DatasetNode):
 
     kind = "map"
     tunable = True
+    params = ("udf", "sequential")
 
     def __init__(
         self,
@@ -200,26 +211,14 @@ class MapNode(DatasetNode):
         sequential: bool = False,
     ) -> None:
         super().__init__(name, inputs=(input_node,), parallelism=parallelism)
-        self._udf = udf
+        self.udf = udf
         if sequential:
             # Instance attribute shadows the class-level ``tunable``.
             self.tunable = False
             self.parallelism = None
 
     def elements_ratio(self) -> float:
-        return self._udf.examples_ratio
-
-    def attrs(self) -> dict:
-        return {"udf": self._udf.to_dict(), "sequential": not self.tunable}
-
-    def copy_with(self, **overrides) -> "MapNode":
-        return MapNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            udf=overrides.get("udf", self._udf),
-            parallelism=overrides.get("parallelism", self.parallelism),
-            sequential=overrides.get("sequential", not self.tunable),
-        )
+        return self.udf.examples_ratio
 
 
 class FilterNode(DatasetNode):
@@ -227,6 +226,7 @@ class FilterNode(DatasetNode):
 
     kind = "filter"
     tunable = False
+    params = ("udf", "keep_fraction")
 
     def __init__(
         self,
@@ -238,22 +238,18 @@ class FilterNode(DatasetNode):
         super().__init__(name, inputs=(input_node,), parallelism=None)
         if not 0.0 <= keep_fraction <= 1.0:
             raise ValueError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
-        self._udf = udf
+        if udf.examples_ratio != 1:
+            # Only keep_fraction drops elements; every backend runs a
+            # filter UDF one element in, at most one out.
+            raise ValueError(
+                f"filter {name!r}: UDF examples_ratio must be 1, got "
+                f"{udf.examples_ratio}; set keep_fraction to drop elements"
+            )
+        self.udf = udf
         self.keep_fraction = keep_fraction
 
     def elements_ratio(self) -> float:
         return self.keep_fraction
-
-    def attrs(self) -> dict:
-        return {"udf": self._udf.to_dict(), "keep_fraction": self.keep_fraction}
-
-    def copy_with(self, **overrides) -> "FilterNode":
-        return FilterNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            udf=overrides.get("udf", self._udf),
-            keep_fraction=overrides.get("keep_fraction", self.keep_fraction),
-        )
 
 
 class BatchNode(DatasetNode):
@@ -261,6 +257,7 @@ class BatchNode(DatasetNode):
 
     kind = "batch"
     tunable = True
+    params = ("batch_size", "cpu_seconds_per_example", "drop_remainder")
 
     def __init__(
         self,
@@ -281,31 +278,13 @@ class BatchNode(DatasetNode):
     def elements_ratio(self) -> float:
         return 1.0 / self.batch_size
 
-    def attrs(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "cpu_seconds_per_example": self.cpu_seconds_per_example,
-            "drop_remainder": self.drop_remainder,
-        }
-
-    def copy_with(self, **overrides) -> "BatchNode":
-        return BatchNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            batch_size=overrides.get("batch_size", self.batch_size),
-            parallelism=overrides.get("parallelism", self.parallelism),
-            cpu_seconds_per_example=overrides.get(
-                "cpu_seconds_per_example", self.cpu_seconds_per_example
-            ),
-            drop_remainder=overrides.get("drop_remainder", self.drop_remainder),
-        )
-
 
 class ShuffleNode(DatasetNode):
     """Sequential buffered uniform shuffle."""
 
     kind = "shuffle"
     tunable = False
+    params = ("buffer_size", "cpu_seconds_per_element", "seed")
 
     def __init__(
         self,
@@ -322,40 +301,11 @@ class ShuffleNode(DatasetNode):
         self.cpu_seconds_per_element = cpu_seconds_per_element
         self.seed = seed
 
-    def attrs(self) -> dict:
-        return {
-            "buffer_size": self.buffer_size,
-            "cpu_seconds_per_element": self.cpu_seconds_per_element,
-            "seed": self.seed,
-        }
-
-    def copy_with(self, **overrides) -> "ShuffleNode":
-        return ShuffleNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            buffer_size=overrides.get("buffer_size", self.buffer_size),
-            cpu_seconds_per_element=overrides.get(
-                "cpu_seconds_per_element", self.cpu_seconds_per_element
-            ),
-            seed=overrides.get("seed", self.seed),
-        )
-
 
 class ShuffleAndRepeatNode(ShuffleNode):
     """Fused sequential shuffle+repeat (GNMT's bottleneck in Fig. 9b)."""
 
     kind = "shuffle_and_repeat"
-
-    def copy_with(self, **overrides) -> "ShuffleAndRepeatNode":
-        return ShuffleAndRepeatNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            buffer_size=overrides.get("buffer_size", self.buffer_size),
-            cpu_seconds_per_element=overrides.get(
-                "cpu_seconds_per_element", self.cpu_seconds_per_element
-            ),
-            seed=overrides.get("seed", self.seed),
-        )
 
 
 class RepeatNode(DatasetNode):
@@ -363,6 +313,7 @@ class RepeatNode(DatasetNode):
 
     kind = "repeat"
     tunable = False
+    params = ("count",)
 
     def __init__(
         self, name: str, input_node: DatasetNode, count: Optional[int] = None
@@ -372,22 +323,13 @@ class RepeatNode(DatasetNode):
         super().__init__(name, inputs=(input_node,), parallelism=None)
         self.count = count
 
-    def attrs(self) -> dict:
-        return {"count": self.count}
-
-    def copy_with(self, **overrides) -> "RepeatNode":
-        return RepeatNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            count=overrides.get("count", self.count),
-        )
-
 
 class TakeNode(DatasetNode):
     """Truncate the stream after ``count`` elements."""
 
     kind = "take"
     tunable = False
+    params = ("count",)
 
     def __init__(self, name: str, input_node: DatasetNode, count: int) -> None:
         if count < 1:
@@ -395,38 +337,19 @@ class TakeNode(DatasetNode):
         super().__init__(name, inputs=(input_node,), parallelism=None)
         self.count = int(count)
 
-    def attrs(self) -> dict:
-        return {"count": self.count}
-
-    def copy_with(self, **overrides) -> "TakeNode":
-        return TakeNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            count=overrides.get("count", self.count),
-        )
-
 
 class PrefetchNode(DatasetNode):
     """Decoupling buffer of ``buffer_size`` elements (software pipelining)."""
 
     kind = "prefetch"
     tunable = False
+    params = ("buffer_size",)
 
     def __init__(self, name: str, input_node: DatasetNode, buffer_size: int) -> None:
         if buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
         super().__init__(name, inputs=(input_node,), parallelism=None)
         self.buffer_size = int(buffer_size)
-
-    def attrs(self) -> dict:
-        return {"buffer_size": self.buffer_size}
-
-    def copy_with(self, **overrides) -> "PrefetchNode":
-        return PrefetchNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            buffer_size=overrides.get("buffer_size", self.buffer_size),
-        )
 
 
 class CacheNode(DatasetNode):
@@ -438,6 +361,7 @@ class CacheNode(DatasetNode):
 
     kind = "cache"
     tunable = False
+    params = ("storage", "read_cpu_seconds_per_element")
 
     def __init__(
         self,
@@ -451,22 +375,6 @@ class CacheNode(DatasetNode):
         super().__init__(name, inputs=(input_node,), parallelism=None)
         self.storage = storage
         self.read_cpu_seconds_per_element = read_cpu_seconds_per_element
-
-    def attrs(self) -> dict:
-        return {
-            "storage": self.storage,
-            "read_cpu_seconds_per_element": self.read_cpu_seconds_per_element,
-        }
-
-    def copy_with(self, **overrides) -> "CacheNode":
-        return CacheNode(
-            name=overrides.get("name", self.name),
-            input_node=overrides.get("input_node", self.inputs[0]),
-            storage=overrides.get("storage", self.storage),
-            read_cpu_seconds_per_element=overrides.get(
-                "read_cpu_seconds_per_element", self.read_cpu_seconds_per_element
-            ),
-        )
 
 
 class ZipNode(DatasetNode):
@@ -482,6 +390,7 @@ class ZipNode(DatasetNode):
     kind = "zip"
     tunable = False
     input_arity = None
+    params = ("cpu_seconds_per_element",)
 
     def __init__(
         self,
@@ -499,18 +408,6 @@ class ZipNode(DatasetNode):
     def input_consumption(self, index: int) -> float:
         return 1.0
 
-    def attrs(self) -> dict:
-        return {"cpu_seconds_per_element": self.cpu_seconds_per_element}
-
-    def copy_with(self, **overrides) -> "ZipNode":
-        return ZipNode(
-            name=overrides.get("name", self.name),
-            input_nodes=overrides.get("input_nodes", self.inputs),
-            cpu_seconds_per_element=overrides.get(
-                "cpu_seconds_per_element", self.cpu_seconds_per_element
-            ),
-        )
-
 
 class InterleaveDatasetsNode(DatasetNode):
     """Weighted round-robin merge over child subgraphs
@@ -526,6 +423,7 @@ class InterleaveDatasetsNode(DatasetNode):
     kind = "interleave_datasets"
     tunable = False
     input_arity = None
+    params = ("weights", "cpu_seconds_per_element", "seed")
 
     def __init__(
         self,
@@ -562,24 +460,6 @@ class InterleaveDatasetsNode(DatasetNode):
 
     def input_consumption(self, index: int) -> float:
         return self.weights[index]
-
-    def attrs(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "cpu_seconds_per_element": self.cpu_seconds_per_element,
-            "seed": self.seed,
-        }
-
-    def copy_with(self, **overrides) -> "InterleaveDatasetsNode":
-        return InterleaveDatasetsNode(
-            name=overrides.get("name", self.name),
-            input_nodes=overrides.get("input_nodes", self.inputs),
-            weights=overrides.get("weights", self.weights),
-            cpu_seconds_per_element=overrides.get(
-                "cpu_seconds_per_element", self.cpu_seconds_per_element
-            ),
-            seed=overrides.get("seed", self.seed),
-        )
 
 
 class Pipeline:
@@ -752,18 +632,12 @@ class Pipeline:
         return set(self._below_cache)
 
     def clone(self) -> "Pipeline":
-        """Deep-copy the node structure (UDFs/catalogs shared)."""
+        """Copy every node (UDFs/catalogs shared)."""
         mapping: Dict[int, DatasetNode] = {}
         for node in self._order:
-            new_inputs = [mapping[id(c)] for c in node.inputs]
-            if len(new_inputs) > 1:
-                clone = node.copy_with(input_nodes=new_inputs)
-            elif new_inputs:
-                clone = node.copy_with(input_node=new_inputs[0])
-                clone.inputs = new_inputs
-            else:
-                clone = node.copy_with()
-            mapping[id(node)] = clone
+            mapping[id(node)] = node.with_inputs(
+                [mapping[id(c)] for c in node.inputs]
+            )
         return Pipeline(mapping[id(self.root)], name=self.name)
 
     def _render_chain(self) -> str:

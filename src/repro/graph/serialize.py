@@ -5,6 +5,16 @@ statistics so offline analysis can rebuild an in-memory model of the
 dataflow and *rewrite* it (§4.1, §B: "all Plumber traces are also valid
 programs"). We serialize to a JSON-compatible dict keyed by node name,
 which is also the rewrite key.
+
+A node's ``attrs`` are its kind's declared
+:attr:`~repro.graph.datasets.DatasetNode.params`; the nested objects
+among them (``udf``, ``catalog``, ``weights``) are encoded here. The
+decoder calls the kind's constructor with the attrs given, so a missing
+attr takes the constructor's default, and it rejects a malformed
+program with a ``ValueError`` naming the node: an unknown kind or attr
+key, a missing required attr, an input count that does not fit the
+kind's ``input_arity``, or an input not defined earlier in the node
+list.
 """
 
 from __future__ import annotations
@@ -33,18 +43,40 @@ from repro.io.filesystem import FileCatalog
 
 _FORMAT_VERSION = 1
 
+#: node kind → class, for every concrete node kind
+NODE_KINDS = {
+    cls.kind: cls
+    for cls in (
+        InterleaveSourceNode, MapNode, FilterNode, BatchNode, ShuffleNode,
+        ShuffleAndRepeatNode, RepeatNode, TakeNode, PrefetchNode,
+        CacheNode, ZipNode, InterleaveDatasetsNode,
+    )
+}
+
+#: attrs that hold nested objects: how each is written and read back
+_ENCODE = {
+    "udf": UserFunction.to_dict,
+    "catalog": FileCatalog.to_dict,
+    "weights": list,
+}
+_DECODE = {"udf": UserFunction.from_dict, "catalog": FileCatalog.from_dict}
+
 
 def pipeline_to_dict(pipeline: Pipeline) -> dict:
     """Serialize a pipeline to a JSON-compatible dict."""
     nodes = []
     for node in pipeline.topological_order():
+        attrs = node.attrs()
+        for key, encode in _ENCODE.items():
+            if key in attrs:
+                attrs[key] = encode(attrs[key])
         nodes.append(
             {
                 "name": node.name,
                 "kind": node.kind,
                 "inputs": [c.name for c in node.inputs],
                 "parallelism": node.parallelism,
-                "attrs": node.attrs(),
+                "attrs": attrs,
             }
         )
     return {"version": _FORMAT_VERSION, "name": pipeline.name, "nodes": nodes}
@@ -56,89 +88,39 @@ def pipeline_to_json(pipeline: Pipeline) -> str:
 
 
 def _node_from_dict(spec: dict, resolved: Dict[str, DatasetNode]) -> DatasetNode:
-    kind = spec["kind"]
-    name = spec["name"]
-    attrs = spec.get("attrs", {})
-    inputs = [resolved[i] for i in spec.get("inputs", [])]
-    parallelism = spec.get("parallelism")
-
-    if kind == "interleave_source":
-        return InterleaveSourceNode(
-            name,
-            catalog=FileCatalog.from_dict(attrs["catalog"]),
-            parallelism=parallelism if parallelism is not None else 1,
-            read_cpu_seconds_per_record=attrs.get("read_cpu_seconds_per_record", 0.0),
+    name = spec.get("name")
+    kind = spec.get("kind")
+    cls = NODE_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"node {name!r}: unknown node kind {kind!r}")
+    inputs = []
+    for key in spec.get("inputs", []):
+        if key not in resolved:
+            raise ValueError(
+                f"node {name!r}: input {key!r} is not defined before it"
+            )
+        inputs.append(resolved[key])
+    arity = cls.input_arity
+    fits = len(inputs) >= 2 if arity is None else len(inputs) == arity
+    if not fits:
+        raise ValueError(
+            f"node {name!r}: a {kind} node takes "
+            f"{'2 or more' if arity is None else arity} inputs, "
+            f"got {len(inputs)}"
         )
-    if kind == "map":
-        return MapNode(
-            name,
-            inputs[0],
-            udf=UserFunction.from_dict(attrs["udf"]),
-            parallelism=parallelism if parallelism is not None else 1,
-            sequential=attrs.get("sequential", False),
-        )
-    if kind == "filter":
-        return FilterNode(
-            name,
-            inputs[0],
-            udf=UserFunction.from_dict(attrs["udf"]),
-            keep_fraction=attrs.get("keep_fraction", 1.0),
-        )
-    if kind == "batch":
-        return BatchNode(
-            name,
-            inputs[0],
-            batch_size=attrs["batch_size"],
-            parallelism=parallelism if parallelism is not None else 1,
-            cpu_seconds_per_example=attrs.get("cpu_seconds_per_example", 0.0),
-            drop_remainder=attrs.get("drop_remainder", True),
-        )
-    if kind == "shuffle":
-        return ShuffleNode(
-            name,
-            inputs[0],
-            buffer_size=attrs["buffer_size"],
-            cpu_seconds_per_element=attrs.get("cpu_seconds_per_element", 0.0),
-            seed=attrs.get("seed", 0),
-        )
-    if kind == "shuffle_and_repeat":
-        return ShuffleAndRepeatNode(
-            name,
-            inputs[0],
-            buffer_size=attrs["buffer_size"],
-            cpu_seconds_per_element=attrs.get("cpu_seconds_per_element", 0.0),
-            seed=attrs.get("seed", 0),
-        )
-    if kind == "zip":
-        return ZipNode(
-            name,
-            inputs,
-            cpu_seconds_per_element=attrs.get("cpu_seconds_per_element", 0.0),
-        )
-    if kind == "interleave_datasets":
-        return InterleaveDatasetsNode(
-            name,
-            inputs,
-            weights=attrs.get("weights"),
-            cpu_seconds_per_element=attrs.get("cpu_seconds_per_element", 0.0),
-            seed=attrs.get("seed", 0),
-        )
-    if kind == "repeat":
-        return RepeatNode(name, inputs[0], count=attrs.get("count"))
-    if kind == "take":
-        return TakeNode(name, inputs[0], count=attrs["count"])
-    if kind == "prefetch":
-        return PrefetchNode(name, inputs[0], buffer_size=attrs["buffer_size"])
-    if kind == "cache":
-        return CacheNode(
-            name,
-            inputs[0],
-            storage=attrs.get("storage", "memory"),
-            read_cpu_seconds_per_element=attrs.get(
-                "read_cpu_seconds_per_element", 1e-6
-            ),
-        )
-    raise ValueError(f"unknown node kind {kind!r}")
+    attrs = dict(spec.get("attrs", {}))
+    for key in attrs:
+        if key not in cls.params:
+            raise ValueError(f"node {name!r}: unknown {kind} attr {key!r}")
+        if key in _DECODE:
+            attrs[key] = _DECODE[key](attrs[key])
+    if cls.tunable:
+        parallelism = spec.get("parallelism")
+        attrs["parallelism"] = parallelism if parallelism is not None else 1
+    try:
+        return cls.from_params(name, inputs, attrs)
+    except TypeError as exc:
+        raise ValueError(f"node {name!r}: {exc}") from exc
 
 
 def pipeline_from_dict(data: dict) -> Pipeline:

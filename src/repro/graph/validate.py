@@ -1,9 +1,9 @@
 """Structural validation of pipelines.
 
 Catches the misconfigurations that would otherwise surface as confusing
-runtime failures: duplicate names, dangling inputs, cycles, non-positive
-tunables, batch-after-batch of minibatches, and cache-above-repeat
-(which would try to materialize an infinite stream).
+runtime failures: duplicate names, wrong input counts, fan-out, cycles,
+non-positive tunables, and cache-above-repeat (which would try to
+materialize an infinite stream).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.graph.datasets import (
-    BatchNode,
     CacheNode,
     DatasetNode,
     InterleaveSourceNode,
@@ -142,11 +141,3 @@ def _check_single_consumer(consumers: Dict[int, list],
                 f"({parents}); pipelines must be in-trees — merge "
                 "distinct subgraphs instead of sharing one"
             )
-
-
-def find_batch_node(pipeline: Pipeline) -> BatchNode | None:
-    """Return the (outermost) batch node, if any."""
-    for node in pipeline.topological_order():
-        if isinstance(node, BatchNode):
-            return node
-    return None

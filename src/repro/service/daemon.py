@@ -612,10 +612,10 @@ class OptimizationDaemon:
             if name in seen:
                 raise _RequestError(400, f"duplicate job name {name!r}")
             seen.add(name)
+            if "pipeline" not in raw:
+                raise _RequestError(400, f"job {name!r} needs a 'pipeline'")
             try:
                 pipeline = pipeline_from_dict(raw["pipeline"])
-            except KeyError:
-                raise _RequestError(400, f"job {name!r} needs a 'pipeline'")
             except Exception as exc:
                 raise _RequestError(
                     400, f"job {name!r}: bad pipeline program: {exc}"

@@ -131,8 +131,8 @@ def _map_chain(seed):
 
 def _filter_shuffle(seed):
     ds = _source(seed, par=3)
-    ds = ds.filter(UserFunction("f", cost=CostModel(cpu_seconds=2e-4),
-                                examples_ratio=0.7), name="flt")
+    ds = ds.filter(UserFunction("f", cost=CostModel(cpu_seconds=2e-4)),
+                   name="flt")
     ds = ds.shuffle(64, name="shf").batch(4, name="bat")
     return ds.repeat(None, name="rep").build(f"filter_shuffle_{seed}",
                                              validate=False)

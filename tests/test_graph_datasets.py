@@ -1,5 +1,6 @@
 """Unit tests for dataset node types and the Pipeline container."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from repro.graph.datasets import (
     AUTOTUNE,
     BatchNode,
     CacheNode,
+    FilterNode,
     InterleaveDatasetsNode,
     MapNode,
     Pipeline,
@@ -73,6 +75,14 @@ class TestNodeBasics:
         src = from_tfrecords(small_catalog, name="src").node
         with pytest.raises(ValueError, match="storage"):
             CacheNode("c", src, storage="tape")
+
+    def test_filter_rejects_udf_examples_ratio(self, small_catalog):
+        """Only keep_fraction drops elements; a filter UDF declaring its
+        own ratio would be silently ignored by every backend."""
+        src = from_tfrecords(small_catalog, name="src").node
+        udf = dataclasses.replace(make_udf("f"), examples_ratio=0.7)
+        with pytest.raises(ValueError, match="keep_fraction"):
+            FilterNode("flt", src, udf)
 
     def test_elements_ratio_by_kind(self, small_catalog):
         src = from_tfrecords(small_catalog, name="src").node

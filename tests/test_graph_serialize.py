@@ -5,8 +5,14 @@ import json
 import pytest
 
 from repro.core.spec import OptimizeSpec
-from repro.graph.builder import from_tfrecords
+from repro.graph.builder import (
+    from_tfrecords,
+    interleave_datasets,
+    zip_datasets,
+)
+from repro.graph.datasets import DatasetNode
 from repro.graph.serialize import (
+    NODE_KINDS,
     pipeline_from_dict,
     pipeline_from_json,
     pipeline_to_dict,
@@ -32,6 +38,29 @@ def build_full(catalog):
         .repeat(3, name="rep")
         .build("full")
     )
+
+
+def build_merges(catalog):
+    """A pipeline holding the kinds :func:`build_full` lacks: both
+    merges and the fused shuffle+repeat."""
+    a = from_tfrecords(catalog, name="a").map(make_udf("ua"), name="ma")
+    b = from_tfrecords(catalog, name="b")
+    c = from_tfrecords(catalog, name="c")
+    mixed = interleave_datasets([a, b], weights=[3.0, 1.0], seed=5,
+                                name="mix")
+    return (
+        zip_datasets([mixed, c], cpu_seconds_per_element=1e-6, name="zip")
+        .shuffle_and_repeat(16, seed=2, name="snr")
+        .build("merges")
+    )
+
+
+def _node_classes(cls=DatasetNode):
+    """Every node class the package defines below ``cls``."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from _node_classes(sub)
 
 
 class TestRoundTrip:
@@ -97,6 +126,82 @@ class TestRoundTrip:
         )
         restored = pipeline_from_dict(pipeline_to_dict(pipe))
         assert restored.node("snr").kind == "shuffle_and_repeat"
+
+
+class TestDecoderRejects:
+    """The decoder is also the daemon's request parser: a malformed
+    program fails with a ValueError naming the node and the key instead
+    of decoding into some other program."""
+
+    def program(self, catalog):
+        data = pipeline_to_dict(build_full(catalog))
+        return data, {n["name"]: n for n in data["nodes"]}
+
+    def test_unknown_attr(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        nodes["batch"]["attrs"]["batchsize"] = 32
+        with pytest.raises(ValueError, match="'batch'.*'batchsize'"):
+            pipeline_from_dict(data)
+
+    def test_batch_with_two_inputs(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        nodes["batch"]["inputs"] = ["pack", "shuf"]
+        with pytest.raises(ValueError, match="'batch'.*got 2"):
+            pipeline_from_dict(data)
+
+    def test_source_with_an_input(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        data["nodes"].insert(0, dict(nodes["src"], name="src0"))
+        nodes["src"]["inputs"] = ["src0"]
+        with pytest.raises(ValueError, match="'src'.*got 1"):
+            pipeline_from_dict(data)
+
+    def test_merge_with_one_input(self, small_catalog):
+        data = pipeline_to_dict(build_merges(small_catalog))
+        zip_node = next(n for n in data["nodes"] if n["name"] == "zip")
+        zip_node["inputs"] = zip_node["inputs"][:1]
+        with pytest.raises(ValueError, match="'zip'.*got 1"):
+            pipeline_from_dict(data)
+
+    def test_undefined_input(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        nodes["batch"]["inputs"] = ["nope"]
+        with pytest.raises(ValueError, match="'batch'.*'nope'"):
+            pipeline_from_dict(data)
+
+    def test_input_defined_later(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        nodes["batch"]["inputs"] = ["take"]
+        with pytest.raises(ValueError, match="'batch'.*'take'"):
+            pipeline_from_dict(data)
+
+    def test_missing_required_attr(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        del nodes["batch"]["attrs"]["batch_size"]
+        with pytest.raises(ValueError, match="'batch'.*batch_size"):
+            pipeline_from_dict(data)
+
+    def test_missing_optional_attr_takes_the_default(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        del nodes["shuf"]["attrs"]["seed"]
+        assert pipeline_from_dict(data).node("shuf").seed == 0
+
+
+class TestKindTable:
+    def test_every_node_class_has_a_kind(self):
+        assert set(_node_classes()) == set(NODE_KINDS.values())
+        for kind, cls in NODE_KINDS.items():
+            assert cls.kind == kind
+
+    def test_every_kind_round_trips(self, small_catalog):
+        seen = set()
+        for pipe in (build_full(small_catalog), build_merges(small_catalog)):
+            data = pipeline_to_dict(pipe)
+            restored = pipeline_from_dict(data)
+            assert pipeline_to_dict(restored) == data
+            assert pipeline_to_dict(restored.clone()) == data
+            seen.update(n["kind"] for n in data["nodes"])
+        assert seen == set(NODE_KINDS)
 
 
 class TestRewrittenRoundTrip:

@@ -4,11 +4,7 @@ import pytest
 
 from repro.graph.builder import from_tfrecords, zip_datasets
 from repro.graph.datasets import CacheNode, MapNode, Pipeline, ZipNode
-from repro.graph.validate import (
-    GraphValidationError,
-    find_batch_node,
-    validate_pipeline,
-)
+from repro.graph.validate import GraphValidationError, validate_pipeline
 from tests.conftest import make_udf
 
 
@@ -94,8 +90,3 @@ class TestValidation:
         b = from_tfrecords(small_catalog, name="src_b").map(
             make_udf("fb"), name="map_b")
         validate_pipeline(zip_datasets([a, b], name="z").build("p"))
-
-    def test_find_batch_node(self, simple_pipeline, small_catalog):
-        assert find_batch_node(simple_pipeline).name == "batch"
-        no_batch = from_tfrecords(small_catalog, name="src").build("nb")
-        assert find_batch_node(no_batch) is None

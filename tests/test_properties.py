@@ -214,6 +214,19 @@ class TestCatalogProperties:
         assert scaled.num_files >= min(8, catalog.num_files)
 
 
+def _assert_clone_independent(pipeline, clone):
+    """A clone serializes as its original, shares no input list with it,
+    and a parallelism set on the clone leaves the original unchanged."""
+    before = pipeline_to_dict(pipeline)
+    assert pipeline_to_dict(clone) == before
+    originals = pipeline.nodes
+    for node in clone.iter_nodes():
+        assert node.inputs is not originals[node.name].inputs
+    for node in clone.tunables():
+        node.parallelism = (node.parallelism or 1) + 7
+    assert pipeline_to_dict(pipeline) == before
+
+
 class TestPipelineProperties:
     @given(chain_pipelines())
     @settings(max_examples=40, deadline=None,
@@ -255,6 +268,7 @@ class TestPipelineProperties:
             n.name for n in pipeline.topological_order()
         ]
         assert clone.root is not pipeline.root
+        _assert_clone_independent(pipeline, clone)
 
 
 class TestDagProperties:
@@ -277,6 +291,7 @@ class TestDagProperties:
             n.name for n in pipeline.topological_order()
         ]
         assert structural_signature(clone) == structural_signature(pipeline)
+        _assert_clone_independent(pipeline, clone)
 
     @given(dag_pipelines())
     @settings(max_examples=30, deadline=None,

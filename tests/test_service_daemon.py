@@ -175,6 +175,19 @@ class TestLifecycle:
                 assert status == 400, body
                 assert key in payload["error"]
 
+    def test_malformed_program_400_is_not_missing_pipeline(
+            self, daemon, small_catalog, test_machine):
+        """A program that is present but malformed (here a node without
+        a ``kind``) is a bad program, not a missing one."""
+        job = _job_body("j", small_pipeline(small_catalog), test_machine)
+        del job["pipeline"]["nodes"][-1]["kind"]
+        status, payload, _ = _post(f"{daemon.url}/optimize", {"jobs": [job]})
+        assert status == 400
+        assert "needs a 'pipeline'" not in payload["error"]
+        assert "bad pipeline program" in payload["error"]
+        root = job["pipeline"]["nodes"][-1]["name"]
+        assert repr(root) in payload["error"]
+
     def test_invalid_json_400(self, daemon):
         req = urllib.request.Request(
             f"{daemon.url}/optimize", data=b"{not json", method="POST")
