@@ -70,8 +70,8 @@ class PipelineTrace:
     """One tracing session's output.
 
     ``backend`` names the acquisition method ("simulate" for the
-    discrete-event simulator, "analytic" for the closed-form fast path,
-    "inprocess" for real execution) and is part of a trace's identity:
+    discrete-event simulator, "analytic" for the closed-form fast path)
+    and is part of a trace's identity:
     two traces of the same program acquired through different backends
     are different artifacts and must not share cache entries downstream.
     """

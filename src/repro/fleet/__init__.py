@@ -12,7 +12,6 @@ from repro.fleet.analysis import (
     FleetSummary,
     SpeedupStats,
     bottleneck_histogram,
-    latency_fractions,
     speedup_distribution,
     summarize,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "bottleneck_histogram",
     "generate_fleet",
     "generate_pipeline_fleet",
-    "latency_fractions",
     "speedup_distribution",
     "summarize",
 ]

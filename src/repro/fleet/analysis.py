@@ -34,7 +34,8 @@ class UtilizationBand:
 
 @dataclass(frozen=True)
 class FleetSummary:
-    """All fleet statistics the paper reports."""
+    """All fleet statistics the paper reports, as :func:`summarize`
+    returns them."""
 
     num_jobs: int
     frac_over_50us: float

@@ -34,12 +34,11 @@ from repro.graph.builder import (
     interleave_datasets,
     zip_datasets,
 )
-from repro.graph.signature import infer_signatures
 from repro.graph.udf import CostModel, UserFunction
 from repro.host.disk import cloud_storage, hdd_st4000, local_ssd_fast, nvme_p3600
 from repro.host.machine import Machine
 from repro.io.filesystem import FileCatalog
-from repro.runtime.analytic import fill_caps
+from repro.runtime.analytic import _fill_models, fill_caps
 
 #: baseline Next-call cost when data is ready in a prefetch buffer
 #: ("it takes tens of microseconds to read input data that is readily
@@ -340,7 +339,7 @@ def _measure_job(
         background_cpu
         + achieved / cpu_cap,
     )
-    bytes_per_root = _bytes_per_root(pipeline)
+    bytes_per_root = _bytes_per_root(pipeline, machine)
     membw_util = min(
         1.0,
         background_membw
@@ -358,13 +357,11 @@ def _measure_job(
     )
 
 
-def _bytes_per_root(pipeline) -> float:
-    """Bytes materialized across stage boundaries per root element."""
-    specs = infer_signatures(pipeline)
-    ratios = pipeline.visit_ratios()
+def _bytes_per_root(pipeline, machine: Machine) -> float:
+    """Bytes materialized across stage boundaries per root element, from
+    the analytic model's per-node element sizes."""
     total = 0.0
-    for node in pipeline.topological_order():
-        v = ratios[node.name]
-        if math.isfinite(v):
-            total += v * specs[node.name].avg_bytes
+    for m in _fill_models(pipeline, machine):
+        if math.isfinite(m.visit):
+            total += m.visit * m.bytes_per_element
     return total

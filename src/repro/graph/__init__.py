@@ -7,7 +7,7 @@ so that a trace (stats + program) can be shipped to Plumber's offline
 analysis exactly as in the paper.
 """
 
-from repro.graph.builder import DatasetBuilder, from_source, from_tfrecords
+from repro.graph.builder import DatasetBuilder, from_tfrecords
 from repro.graph.datasets import (
     BatchNode,
     CacheNode,
@@ -23,7 +23,6 @@ from repro.graph.datasets import (
     TakeNode,
 )
 from repro.graph.serialize import pipeline_from_dict, pipeline_to_dict
-from repro.graph.signature import ElementSpec, infer_signatures
 from repro.graph.udf import CostModel, UserFunction
 from repro.graph.validate import GraphValidationError, validate_pipeline
 
@@ -33,7 +32,6 @@ __all__ = [
     "CostModel",
     "DatasetBuilder",
     "DatasetNode",
-    "ElementSpec",
     "FilterNode",
     "GraphValidationError",
     "InterleaveSourceNode",
@@ -45,9 +43,7 @@ __all__ = [
     "ShuffleNode",
     "TakeNode",
     "UserFunction",
-    "from_source",
     "from_tfrecords",
-    "infer_signatures",
     "pipeline_from_dict",
     "pipeline_to_dict",
     "validate_pipeline",

@@ -193,11 +193,6 @@ def from_tfrecords(
     )
 
 
-# ``from_source`` is an alias emphasizing that any record-oriented catalog
-# works, not just TFRecords.
-from_source = from_tfrecords
-
-
 def _branch_nodes(branches: Sequence) -> list:
     """Unwrap builders (or accept bare nodes) into merge inputs."""
     nodes = []

@@ -13,8 +13,9 @@ decoder calls the kind's constructor with the attrs given, so a missing
 attr takes the constructor's default, and it rejects a malformed
 program with a ``ValueError`` naming the node: an unknown kind or attr
 key, a missing required attr, an input count that does not fit the
-kind's ``input_arity``, or an input not defined earlier in the node
-list.
+kind's ``input_arity``, an input not defined earlier in the node list,
+a name defined twice, or a node that does not feed the root (the last
+node).
 """
 
 from __future__ import annotations
@@ -135,12 +136,21 @@ def pipeline_from_dict(data: dict) -> Pipeline:
     last: DatasetNode | None = None
     for spec in data["nodes"]:
         node = _node_from_dict(spec, resolved)
+        if node.name in resolved:
+            raise ValueError(f"node {node.name!r} is defined twice")
         resolved[node.name] = node
         last = node
     if last is None:
         raise ValueError("pipeline has no nodes")
     # Nodes are serialized sources-first; the last one is the root.
-    return Pipeline(last, name=data.get("name", "pipeline"))
+    pipeline = Pipeline(last, name=data.get("name", "pipeline"))
+    if len(pipeline.topological_order()) != len(resolved):
+        kept = {n.name for n in pipeline.iter_nodes()}
+        dropped = next(name for name in resolved if name not in kept)
+        raise ValueError(
+            f"node {dropped!r} is not on the path to the root {last.name!r}"
+        )
+    return pipeline
 
 
 def pipeline_from_json(text: str) -> Pipeline:

@@ -1,58 +1,17 @@
-"""Element signatures: what kind of element each node emits, and its
-expected size — plus the *structural signature*, a content hash of the
-whole pipeline program used by the batch optimization service to key its
-result cache.
+"""The *structural signature*: a content hash of a whole pipeline
+program, which the batch optimization service uses to key its result
+cache.
 
-The element half is the structural side of the byte-accounting
-recurrence (§A): the source's element size comes from the catalog, and
-every operator applies its declared size/count transformation. The
-tracer's *measured* byte ratios must agree with these declared
-signatures in steady state, which is one of the integration tests.
+Per-node element sizes and counts are not declared here: Plumber reads
+them from traced counters (§4.1, §A), and the closed-form backend's node
+models (:mod:`repro.runtime.analytic`) propagate byte sizes for the
+programs it prices.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict
-
+from repro.graph.datasets import Pipeline
 from repro.util import canonical_hash
-
-from repro.graph.datasets import (
-    BatchNode,
-    CacheNode,
-    DatasetNode,
-    FilterNode,
-    InterleaveDatasetsNode,
-    InterleaveSourceNode,
-    MapNode,
-    Pipeline,
-    PrefetchNode,
-    RepeatNode,
-    ShuffleNode,
-    TakeNode,
-    ZipNode,
-)
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """Declared output of one node.
-
-    ``kind`` is one of ``record``, ``example``, ``minibatch``.
-    ``avg_bytes`` is the expected bytes per element; ``cardinality`` the
-    expected total number of elements in one epoch (``inf`` under an
-    unbounded repeat).
-    """
-
-    kind: str
-    avg_bytes: float
-    cardinality: float
-
-    @property
-    def total_bytes(self) -> float:
-        """Expected materialized size of the full stream."""
-        return self.avg_bytes * self.cardinality
 
 
 def structural_signature(pipeline: Pipeline) -> str:
@@ -71,101 +30,3 @@ def structural_signature(pipeline: Pipeline) -> str:
     data = pipeline_to_dict(pipeline)
     data.pop("name", None)
     return canonical_hash(data)
-
-
-def infer_signatures(pipeline: Pipeline) -> Dict[str, ElementSpec]:
-    """Propagate element specs from sources to root.
-
-    Mirrors the paper's n_i (cardinality) and b_i (byte ratio)
-    propagation: maps scale bytes, filters scale counts, batch scales
-    both, repeat makes cardinality infinite.
-    """
-    specs: Dict[str, ElementSpec] = {}
-    for node in pipeline.topological_order():
-        specs[node.name] = _spec_for(node, specs)
-    return specs
-
-
-def _spec_for(node: DatasetNode, specs: Dict[str, ElementSpec]) -> ElementSpec:
-    if isinstance(node, InterleaveSourceNode):
-        catalog = node.catalog
-        return ElementSpec(
-            kind="record",
-            avg_bytes=catalog.mean_bytes_per_record,
-            cardinality=float(catalog.total_records),
-        )
-
-    if isinstance(node, ZipNode):
-        # One output pairs one element from every branch: bytes add,
-        # and the stream ends with the shortest branch.
-        children = [specs[c.name] for c in node.inputs]
-        return ElementSpec(
-            kind="example",
-            avg_bytes=sum(c.avg_bytes for c in children),
-            cardinality=min(c.cardinality for c in children),
-        )
-    if isinstance(node, InterleaveDatasetsNode):
-        # Weighted mix: expected bytes are the weighted mean, and the
-        # stream ends when the first branch runs dry — after
-        # ``n_i / w_i`` outputs if branch ``i`` is the limiting one.
-        children = [specs[c.name] for c in node.inputs]
-        return ElementSpec(
-            kind="example",
-            avg_bytes=sum(
-                w * c.avg_bytes for w, c in zip(node.weights, children)
-            ),
-            cardinality=min(
-                c.cardinality / w
-                for w, c in zip(node.weights, children)
-            ),
-        )
-
-    child = specs[node.inputs[0].name]
-
-    if isinstance(node, MapNode):
-        udf = node.udf
-        return ElementSpec(
-            kind="example",
-            avg_bytes=udf.output_size(child.avg_bytes),
-            cardinality=child.cardinality * udf.examples_ratio,
-        )
-    if isinstance(node, FilterNode):
-        return ElementSpec(
-            kind=child.kind,
-            avg_bytes=child.avg_bytes,
-            cardinality=child.cardinality * node.keep_fraction,
-        )
-    if isinstance(node, BatchNode):
-        return ElementSpec(
-            kind="minibatch",
-            avg_bytes=child.avg_bytes * node.batch_size,
-            cardinality=(
-                math.floor(child.cardinality / node.batch_size)
-                if math.isfinite(child.cardinality)
-                else math.inf
-            ),
-        )
-    if isinstance(node, RepeatNode):
-        if node.count is None:
-            cardinality = math.inf if child.cardinality > 0 else 0.0
-        else:
-            cardinality = child.cardinality * node.count
-        return ElementSpec(
-            kind=child.kind, avg_bytes=child.avg_bytes, cardinality=cardinality
-        )
-    if isinstance(node, TakeNode):
-        return ElementSpec(
-            kind=child.kind,
-            avg_bytes=child.avg_bytes,
-            cardinality=min(child.cardinality, node.count),
-        )
-    if isinstance(node, (ShuffleNode, PrefetchNode, CacheNode)):
-        # ShuffleAndRepeatNode subclasses ShuffleNode: repeat semantics.
-        if node.kind == "shuffle_and_repeat":
-            cardinality = math.inf if child.cardinality > 0 else 0.0
-        else:
-            cardinality = child.cardinality
-        return ElementSpec(
-            kind=child.kind, avg_bytes=child.avg_bytes, cardinality=cardinality
-        )
-    raise TypeError(f"no signature rule for node kind {node.kind!r}")

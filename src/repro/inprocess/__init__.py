@@ -2,17 +2,10 @@
 
 Runs pipelines over actual Python data, preserving element-level
 semantics: UDFs are called, filters predicate, shuffles reorder with a
-seeded RNG, caches memoize, batches group. Used for semantic tests and
-the quickstart; a wall-clock tracer produces the same
-:class:`~repro.core.trace.PipelineTrace` shape as the simulator so
-Plumber can analyze real runs too.
+seeded RNG, caches store their first pass and replay it, batches group.
+The quickstart runs its pipeline for real with :func:`materialize`.
 """
 
-from repro.inprocess.executor import (
-    InProcessError,
-    iterate,
-    materialize,
-    trace_real_run,
-)
+from repro.inprocess.executor import InProcessError, materialize
 
-__all__ = ["InProcessError", "iterate", "materialize", "trace_real_run"]
+__all__ = ["InProcessError", "materialize"]

@@ -6,20 +6,16 @@ iterated per the catalog's layout. Each node becomes a Python iterator
 following the Open/Next/Close model of §2.1; UDFs must carry a real
 ``fn`` to participate.
 
-This executor is intentionally sequential and deterministic — it is the
-semantics oracle the simulator's ratio arithmetic is tested against, and
-the engine behind the quickstart example.
+This executor is intentionally sequential and deterministic; it is the
+engine behind the quickstart example.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.core.trace import HostInfo, PipelineTrace
 from repro.graph.datasets import (
     BatchNode,
     CacheNode,
@@ -34,8 +30,6 @@ from repro.graph.datasets import (
     ShuffleNode,
     TakeNode,
 )
-from repro.host.machine import Machine
-from repro.runtime.stats import NodeStats
 
 
 class InProcessError(RuntimeError):
@@ -47,57 +41,18 @@ def _default_record_fn(file_index: int, record_index: int) -> tuple:
     return (file_index, record_index)
 
 
-class _Tracer:
-    """Wall-clock per-node counters with the simulator's stats shape."""
-
-    def __init__(self) -> None:
-        self.stats: Dict[str, NodeStats] = {}
-        self.start = time.perf_counter()
-
-    def for_node(self, node: DatasetNode) -> NodeStats:
-        if node.name not in self.stats:
-            self.stats[node.name] = NodeStats(
-                name=node.name,
-                kind=node.kind,
-                parallelism=node.effective_parallelism,
-                sequential=node.sequential,
-            )
-        return self.stats[node.name]
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-
-def _approx_nbytes(value: Any) -> float:
-    """Best-effort byte size of an element for the tracer."""
-    if isinstance(value, np.ndarray):
-        return float(value.nbytes)
-    if isinstance(value, (bytes, bytearray, str)):
-        return float(len(value))
-    if isinstance(value, (list, tuple)):
-        return float(sum(_approx_nbytes(v) for v in value))
-    return 8.0
-
-
-def _timed(tracer: Optional[_Tracer], node: DatasetNode, fn: Callable, *args):
-    """Call ``fn`` recording CPU time against ``node``."""
-    if tracer is None:
-        return fn(*args)
-    t0 = time.process_time()
-    out = fn(*args)
-    stats = tracer.for_node(node)
-    stats.on_cpu(time.process_time() - t0)
-    return out
-
-
 def _node_iter(
     node: DatasetNode,
     record_fn: Callable[[int, int], Any],
-    tracer: Optional[_Tracer],
+    caches: Dict[str, List[Any]],
 ) -> Iterator[Any]:
-    """Instantiate the iterator tree for ``node`` (Open), recursively."""
+    """Instantiate the iterator tree for ``node`` (Open), recursively.
+
+    ``caches`` is the run's state: each cache node's stored pass, by
+    node name, once that pass has run to completion.
+    """
     if isinstance(node, InterleaveSourceNode):
-        yield from _source_iter(node, record_fn, tracer)
+        yield from _source_iter(node, record_fn)
         return
 
     child = node.inputs[0]
@@ -108,10 +63,8 @@ def _node_iter(
             raise InProcessError(
                 f"map node {node.name!r} UDF {udf.name!r} has no Python fn"
             )
-        for item in _node_iter(child, record_fn, tracer):
-            out = _timed(tracer, node, udf.fn, item)
-            _record(tracer, node, out)
-            yield out
+        for item in _node_iter(child, record_fn, caches):
+            yield udf.fn(item)
         return
 
     if isinstance(node, FilterNode):
@@ -120,25 +73,20 @@ def _node_iter(
             raise InProcessError(
                 f"filter node {node.name!r} UDF {udf.name!r} has no Python fn"
             )
-        for item in _node_iter(child, record_fn, tracer):
-            if _timed(tracer, node, udf.fn, item):
-                _record(tracer, node, item)
+        for item in _node_iter(child, record_fn, caches):
+            if udf.fn(item):
                 yield item
         return
 
     if isinstance(node, BatchNode):
         batch: List[Any] = []
-        for item in _node_iter(child, record_fn, tracer):
+        for item in _node_iter(child, record_fn, caches):
             batch.append(item)
             if len(batch) == node.batch_size:
-                out = _stack(batch)
-                _record(tracer, node, out)
-                yield out
+                yield _stack(batch)
                 batch = []
         if batch and not node.drop_remainder:
-            out = _stack(batch)
-            _record(tracer, node, out)
-            yield out
+            yield _stack(batch)
         return
 
     if isinstance(node, (ShuffleNode, ShuffleAndRepeatNode)):
@@ -146,20 +94,17 @@ def _node_iter(
         rng = np.random.default_rng(node.seed)
         while True:
             buffer: List[Any] = []
-            for item in _node_iter(child, record_fn, tracer):
+            for item in _node_iter(child, record_fn, caches):
                 if len(buffer) < node.buffer_size:
                     buffer.append(item)
                     continue
                 idx = int(rng.integers(len(buffer)))
                 out = buffer[idx]
                 buffer[idx] = item
-                _record(tracer, node, out)
                 yield out
             while buffer:
                 idx = int(rng.integers(len(buffer)))
-                out = buffer.pop(idx)
-                _record(tracer, node, out)
-                yield out
+                yield buffer.pop(idx)
             if not repeat_forever:
                 return
 
@@ -167,9 +112,8 @@ def _node_iter(
         epoch = 0
         while node.count is None or epoch < node.count:
             emitted = False
-            for item in _node_iter(child, record_fn, tracer):
+            for item in _node_iter(child, record_fn, caches):
                 emitted = True
-                _record(tracer, node, item)
                 yield item
             if not emitted:
                 return  # empty child: avoid spinning forever
@@ -178,32 +122,32 @@ def _node_iter(
 
     if isinstance(node, TakeNode):
         emitted = 0
-        for item in _node_iter(child, record_fn, tracer):
+        for item in _node_iter(child, record_fn, caches):
             if emitted >= node.count:
                 return
             emitted += 1
-            _record(tracer, node, item)
             yield item
         return
 
     if isinstance(node, PrefetchNode):
         # In-process execution is single-threaded; prefetch is a no-op
         # pass-through preserving semantics.
-        for item in _node_iter(child, record_fn, tracer):
-            _record(tracer, node, item)
-            yield item
+        yield from _node_iter(child, record_fn, caches)
         return
 
     if isinstance(node, CacheNode):
-        stored: List[Any] = []
-        for item in _node_iter(child, record_fn, tracer):
-            stored.append(item)
-            _record(tracer, node, item)
-            yield item
-        while True:
-            # Subsequent pulls replay the materialized pass; the iterator
-            # is infinite only if a repeat above keeps pulling.
+        # The first open runs the subtree and stores its pass; once that
+        # pass is complete, every later open (a repeat above re-opening
+        # this node) replays it without running the subtree again.
+        if node.name in caches:
+            yield from caches[node.name]
             return
+        stored: List[Any] = []
+        for item in _node_iter(child, record_fn, caches):
+            stored.append(item)
+            yield item
+        caches[node.name] = stored
+        return
 
     raise InProcessError(f"no in-process implementation for {node.kind!r}")
 
@@ -211,7 +155,6 @@ def _node_iter(
 def _source_iter(
     node: InterleaveSourceNode,
     record_fn: Callable[[int, int], Any],
-    tracer: Optional[_Tracer],
 ) -> Iterator[Any]:
     """Round-robin interleave over ``cycle_length`` file readers."""
     catalog = node.catalog
@@ -224,8 +167,6 @@ def _source_iter(
         n = catalog.files[fi].num_records
         for ri in range(n):
             yield record_fn(fi, ri)
-        if tracer is not None:
-            tracer.for_node(node).on_file_done(catalog.files[fi].size_bytes)
 
     while next_file < len(files) and len(readers) < cycle:
         readers.append(file_reader(files[next_file]))
@@ -241,30 +182,14 @@ def _source_iter(
                 readers.append(file_reader(files[next_file]))
                 next_file += 1
             continue
-        _record(tracer, node, item)
         yield item
         idx += 1
-
-
-def _record(tracer: Optional[_Tracer], node: DatasetNode, item: Any) -> None:
-    if tracer is None:
-        return
-    tracer.for_node(node).on_produce(1.0, _approx_nbytes(item), tracer.elapsed())
 
 
 def _stack(batch: List[Any]) -> Any:
     if batch and isinstance(batch[0], np.ndarray):
         return np.stack(batch)
     return list(batch)
-
-
-def iterate(
-    pipeline: Pipeline,
-    record_fn: Callable[[int, int], Any] = _default_record_fn,
-    tracer: Optional[_Tracer] = None,
-) -> Iterator[Any]:
-    """Iterate the pipeline's root elements (possibly infinite)."""
-    return _node_iter(pipeline.root, record_fn, tracer)
 
 
 def materialize(
@@ -274,39 +199,8 @@ def materialize(
 ) -> List[Any]:
     """Collect up to ``limit`` root elements into a list."""
     out: List[Any] = []
-    for item in iterate(pipeline, record_fn):
+    for item in _node_iter(pipeline.root, record_fn, {}):
         out.append(item)
         if limit is not None and len(out) >= limit:
             break
     return out
-
-
-def trace_real_run(
-    pipeline: Pipeline,
-    machine: Machine,
-    record_fn: Callable[[int, int], Any] = _default_record_fn,
-    limit: int = 1000,
-) -> PipelineTrace:
-    """Execute for real with wall-clock tracing; return a Plumber trace.
-
-    The returned trace has the same shape as a simulated one, so
-    :func:`repro.core.build_model` and the planners work on real runs.
-    """
-    tracer = _Tracer()
-    count = 0.0
-    for _ in iterate(pipeline, record_fn, tracer):
-        count += 1
-        if count >= limit:
-            break
-    elapsed = max(tracer.elapsed(), 1e-9)
-    # Nodes that never produced still need stats entries.
-    for node in pipeline.topological_order():
-        tracer.for_node(node)
-    return PipelineTrace(
-        pipeline=pipeline,
-        stats=tracer.stats,
-        host=HostInfo.from_machine(machine),
-        measured_seconds=elapsed,
-        root_throughput=count / elapsed,
-        backend="inprocess",
-    )

@@ -15,12 +15,10 @@ from repro.io.catalogs import (
     wmt17_catalog,
 )
 from repro.io.filesystem import FileCatalog, FileStat
-from repro.io.tfrecord import TFRecordFormat
 
 __all__ = [
     "FileCatalog",
     "FileStat",
-    "TFRecordFormat",
     "coco_catalog",
     "imagenet_catalog",
     "imagenet_validation_catalog",

@@ -646,12 +646,16 @@ class OptimizationDaemon:
 
     @staticmethod
     def _parse_spec(data: object, what: str) -> OptimizeSpec:
+        """Decode a spec and resolve its backend and passes, so an
+        unknown name is a 400 at submit, not a failed batch."""
         if not isinstance(data, dict):
             raise _RequestError(400, f"{what} must be an object")
         try:
-            return OptimizeSpec.from_dict(data)
+            spec = OptimizeSpec.from_dict(data)
+            BatchOptimizer._validate_spec(spec, what)
         except Exception as exc:
             raise _RequestError(400, f"bad {what}: {exc}")
+        return spec
 
     def _run_batch(self, batch: _Batch) -> None:
         batch.status = "running"

@@ -1,11 +1,13 @@
-"""Tests for the closed-form steady-state caps and text tables."""
+"""Tests for the closed-form model's steady-state caps and per-node
+element sizes, and for text tables."""
 
 import pytest
 
 from repro.analysis.tables import format_table
 from repro.graph.builder import from_tfrecords
+from repro.graph.udf import UserFunction
 from repro.host.machine import setup_a
-from repro.runtime.analytic import fill_caps
+from repro.runtime.analytic import _fill_models, fill_caps
 from repro.runtime.executor import run_pipeline
 from tests.conftest import make_udf, served_caps
 from tests.engine_equivalence import _filter_drop
@@ -104,6 +106,31 @@ class TestSteadyState:
         assert _bound(served)[1] > _bound(cold)[1] * 10
         assert {"stage:m", "stage:src", "disk"} <= set(cold)
         assert not {"stage:m", "stage:src", "disk"} & set(served)
+
+    @pytest.mark.parametrize("stages, root_bytes", [
+        pytest.param(lambda d: d.map(make_udf("decode", size_ratio=6.0)),
+                     lambda b: 6.0 * b, id="decode_amplifies"),
+        pytest.param(lambda d: d.filter(make_udf("f"), keep_fraction=0.5),
+                     lambda b: b, id="filter_keeps"),
+        pytest.param(lambda d: d.batch(32),
+                     lambda b: 32 * b, id="batch_multiplies"),
+        pytest.param(lambda d: d.map(UserFunction("crop", output_bytes=1234.0)),
+                     lambda b: 1234.0, id="fixed_output_bytes"),
+        pytest.param(lambda d: d.map(make_udf("decode", size_ratio=2.0))
+                     .batch(16),
+                     lambda b: 32 * b, id="decode_then_batch"),
+    ])
+    def test_fill_model_bytes(self, small_catalog, test_machine, stages,
+                              root_bytes):
+        """Element sizes propagate from the catalog's record size through
+        each node's byte rule (§A)."""
+        pipe = stages(from_tfrecords(small_catalog, name="src")).build("p")
+        models = {m.node.name: m for m in _fill_models(pipe, test_machine)}
+        record = small_catalog.mean_bytes_per_record
+        assert models["src"].bytes_per_element == pytest.approx(record)
+        assert models[pipe.root.name].bytes_per_element == pytest.approx(
+            root_bytes(record)
+        )
 
 
 class TestTables:

@@ -181,6 +181,20 @@ class TestDecoderRejects:
         with pytest.raises(ValueError, match="'batch'.*batch_size"):
             pipeline_from_dict(data)
 
+    def test_node_off_the_path_to_the_root(self, small_catalog):
+        """A node no later node reads (here a second map on the source)
+        would be dropped from the rebuilt program."""
+        data, nodes = self.program(small_catalog)
+        data["nodes"].insert(1, dict(nodes["decode"], name="orphan"))
+        with pytest.raises(ValueError, match="'orphan'.*not on the path"):
+            pipeline_from_dict(data)
+
+    def test_name_defined_twice(self, small_catalog):
+        data, nodes = self.program(small_catalog)
+        data["nodes"].insert(2, dict(nodes["decode"]))
+        with pytest.raises(ValueError, match="'decode' is defined twice"):
+            pipeline_from_dict(data)
+
     def test_missing_optional_attr_takes_the_default(self, small_catalog):
         data, nodes = self.program(small_catalog)
         del nodes["shuf"]["attrs"]["seed"]

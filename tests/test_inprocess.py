@@ -5,12 +5,7 @@ import pytest
 
 from repro.graph.builder import from_tfrecords
 from repro.graph.udf import UserFunction
-from repro.inprocess.executor import (
-    InProcessError,
-    iterate,
-    materialize,
-    trace_real_run,
-)
+from repro.inprocess.executor import InProcessError, materialize
 from repro.io.filesystem import FileCatalog
 from tests.conftest import make_udf
 
@@ -145,10 +140,27 @@ class TestSemantics:
             .build("p")
         )
         out = materialize(pipe)
-        # Two epochs of output, but the UDF ran... note: the in-process
-        # cache replays within one pull; repeat re-opens the subtree, so
-        # the spy observes one epoch per open in this executor.
-        assert len(out) == 2 * tiny_catalog.total_records
+        # The repeat re-opens the cache, which replays its stored pass:
+        # two epochs of output from one pass of the UDF.
+        assert out == calls + calls
+        assert len(calls) == tiny_catalog.total_records
+
+    def test_cache_store_is_per_run(self, tiny_catalog):
+        calls = []
+
+        def record(x):
+            calls.append(x)
+            return x
+
+        pipe = (
+            from_tfrecords(tiny_catalog, name="src")
+            .map(make_udf("spy", fn=record), name="m")
+            .cache(name="c")
+            .repeat(2, name="r")
+            .build("p")
+        )
+        assert materialize(pipe) == materialize(pipe)
+        assert len(calls) == 2 * tiny_catalog.total_records
 
     def test_prefetch_is_transparent(self, tiny_catalog):
         pipe = (
@@ -157,24 +169,3 @@ class TestSemantics:
             .build("p")
         )
         assert len(materialize(pipe)) == tiny_catalog.total_records
-
-
-class TestRealTracing:
-    def test_trace_shape_matches_plumber_input(self, tiny_catalog, test_machine):
-        from repro.core.rates import build_model
-
-        expensive = make_udf(
-            "busy",
-            fn=lambda x: sum(i * i for i in range(2000)),
-        )
-        pipe = (
-            from_tfrecords(tiny_catalog, name="src")
-            .map(expensive, name="m")
-            .batch(4, name="b")
-            .build("p")
-        )
-        trace = trace_real_run(pipe, test_machine, limit=6)
-        model = build_model(trace)
-        assert model.rates["m"].elements_produced > 0
-        assert model.rates["m"].cpu_core_seconds >= 0
-        assert trace.root_throughput > 0

@@ -19,10 +19,12 @@ from repro.graph.builder import (
     zip_datasets,
 )
 from repro.graph.serialize import pipeline_from_dict, pipeline_to_dict
-from repro.graph.signature import infer_signatures, structural_signature
+from repro.graph.signature import structural_signature
 from repro.graph.udf import CostModel, UserFunction
 from repro.host.disk import DiskSpec
+from repro.host.machine import setup_a
 from repro.io.filesystem import FileCatalog
+from repro.runtime.analytic import _fill_models
 from repro.runtime.engine import SimQueue, Simulation
 from repro.runtime.executor import ModelConsumer, RunConfig
 from tests import lp_oracle, reference_engine
@@ -254,10 +256,9 @@ class TestPipelineProperties:
     @given(chain_pipelines())
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_signature_cardinality_never_negative(self, pipeline):
-        for spec in infer_signatures(pipeline).values():
-            assert spec.cardinality >= 0
-            assert spec.avg_bytes >= 0
+    def test_fill_model_bytes_never_negative(self, pipeline):
+        for m in _fill_models(pipeline, setup_a()):
+            assert m.bytes_per_element >= 0
 
     @given(chain_pipelines())
     @settings(max_examples=30, deadline=None,

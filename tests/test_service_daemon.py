@@ -188,6 +188,35 @@ class TestLifecycle:
         root = job["pipeline"]["nodes"][-1]["name"]
         assert repr(root) in payload["error"]
 
+    def test_program_with_dropped_node_400(self, daemon, small_catalog,
+                                          test_machine):
+        """A node off the path to the root is refused by name, not
+        dropped from the program the daemon optimizes."""
+        job = _job_body("j", small_pipeline(small_catalog), test_machine)
+        nodes = job["pipeline"]["nodes"]
+        nodes.insert(1, dict(nodes[1], name="orphan"))
+        status, payload, _ = _post(f"{daemon.url}/optimize", {"jobs": [job]})
+        assert status == 400
+        assert "'orphan'" in payload["error"]
+        assert daemon._batches == {}
+
+    def test_unknown_backend_or_pass_400(self, daemon, small_catalog,
+                                         test_machine):
+        """A spec naming an unknown backend or pass is refused at submit,
+        in the batch spec and in a per-job spec alike, and no batch is
+        admitted."""
+        job = _job_body("a", small_pipeline(small_catalog), test_machine)
+        for key, value, name in (("backend", "nope", "nope"),
+                                 ("passes", ["nope_pass"], "nope_pass")):
+            spec = dict(FAST_SPEC.to_dict(), **{key: value})
+            for body in ({"jobs": [job], "spec": spec},
+                         {"jobs": [dict(job, spec=spec)]}):
+                status, payload, _ = _post(f"{daemon.url}/optimize", body)
+                assert status == 400, body
+                assert repr(name) in payload["error"]
+        assert daemon._batches == {}
+        assert daemon.admission.in_flight() == {"simulate": 0, "analytic": 0}
+
     def test_invalid_json_400(self, daemon):
         req = urllib.request.Request(
             f"{daemon.url}/optimize", data=b"{not json", method="POST")
