@@ -36,7 +36,9 @@ DEFAULT_PASSES = ("parallelism", "prefetch", "cache")
 #: layout this code no longer understands. Version 3: passes plan
 #: against the analytic model, so a simulate spec's decisions and
 #: predicted throughput for the same token differ from version 2's.
-STORE_SCHEMA_VERSION = 3
+#: Version 4: a disk document holds a group commit's entries,
+#: ``{"entries": {key: entry, ...}}``, not one ``"entry"``.
+STORE_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

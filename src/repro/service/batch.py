@@ -539,8 +539,8 @@ class BatchOptimizer:
                             backend=pending[key].spec.backend
                         ).observe(clock() - started)
                         depth.dec()
-            for key, result in computed.items():
-                entry = {
+            fresh_entries = {
+                key: {
                     "result": result,
                     "provenance": {
                         "producer": result.get("producer"),
@@ -548,8 +548,11 @@ class BatchOptimizer:
                         "created_at": self._clock(),
                     },
                 }
-                self.store.put(key, entry)
-                entries[key] = entry
+                for key, result in computed.items()
+            }
+            # One commit for the whole batch: a DiskStore pays one fsync.
+            self.store.put_many(fresh_entries)
+            entries.update(fresh_entries)
 
         results: List[JobResult] = []
         hits = misses = 0

@@ -6,14 +6,19 @@ so every process restart re-optimized the whole fleet. A
 
 * :class:`InMemoryStore` — the original behaviour: a per-process mapping
   with an optional LRU bound.
-* :class:`DiskStore` — one JSON file per entry under a cache directory,
-  written atomically (temp file + ``os.replace``) so a crash mid-write
-  can never corrupt an existing entry. Loads are corruption-tolerant: a
-  truncated file, invalid JSON, or an entry written under a different
+* :class:`DiskStore` — one name per entry under a cache directory,
+  group-committed: :meth:`DiskStore.put_many` writes a whole batch as
+  one JSON document with one ``fsync`` and publishes it under each of
+  the batch's ``<key>.json`` names by hard link, so the names of one
+  commit share an inode. Every name is published atomically (link to a
+  temp name + ``os.replace``) after the data is on disk, so a crash can
+  lose a name — a miss — but never leave a torn one. Loads are
+  corruption-tolerant: a truncated file, invalid JSON, or a document
+  written under a different
   :data:`~repro.core.spec.STORE_SCHEMA_VERSION` reads as a miss, never
   an exception. An optional ``max_entries`` bound evicts
-  least-recently-used entries (recency = file mtime, refreshed on every
-  hit).
+  least-recently-used names (recency = file mtime, refreshed on every
+  hit, and shared by the names of one commit).
 
 Entries are opaque JSON-compatible mappings; the service stores
 ``{"result": <worker result>, "provenance": {...}}`` where provenance
@@ -42,7 +47,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Mapping, Optional, Protocol, Tuple, runtime_checkable
 from uuid import uuid4
 
 from repro.core.spec import STORE_SCHEMA_VERSION
@@ -62,6 +67,10 @@ class ResultStore(Protocol):
 
     def put(self, key: str, entry: dict) -> None:
         """Persist ``entry`` under ``key`` (replacing any prior entry)."""
+        ...  # pragma: no cover - protocol body
+
+    def put_many(self, entries: Mapping[str, dict]) -> None:
+        """Persist every ``key: entry`` pair as one commit."""
         ...  # pragma: no cover - protocol body
 
     def keys(self) -> Tuple[str, ...]:
@@ -141,11 +150,16 @@ class InMemoryStore:
         return copy.deepcopy(entry)
 
     def put(self, key: str, entry: dict) -> None:
-        key = _check_key(key)
-        entry = copy.deepcopy(entry)  # snapshot: later caller mutations
-        with self._lock:              # must not reach the cache
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
+        self.put_many({key: entry})
+
+    def put_many(self, entries: Mapping[str, dict]) -> None:
+        # Snapshot first: later caller mutations must not reach the cache.
+        group = {_check_key(key): copy.deepcopy(entry)
+                 for key, entry in entries.items()}
+        with self._lock:
+            for key, entry in group.items():
+                self._entries[key] = entry
+                self._entries.move_to_end(key)
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
@@ -180,15 +194,30 @@ class InMemoryStore:
 
 
 class DiskStore:
-    """Atomic JSON-per-entry store under a cache directory.
+    """Group-committed JSON store under a cache directory.
 
-    Layout: ``<root>/<key>.json`` holding
-    ``{"schema": STORE_SCHEMA_VERSION, "entry": {...}}``. Writes land in
-    a uniquely-named temp file first and are published with
-    ``os.replace``, so concurrent writers and crashes leave either the
-    old entry or the new one, never a torn file under the final name.
-    A process killed mid-write leaves only a ``*.tmp-*`` orphan, which
-    no read path ever considers an entry.
+    Layout: each key is a name ``<root>/<key>.json``. One
+    :meth:`put_many` commit writes one document,
+    ``{"schema": STORE_SCHEMA_VERSION, "entries": {key: entry, ...}}``,
+    and publishes it under every key of the commit by hard link, so the
+    names of one commit share an inode. A read parses the document and
+    takes its own ``entries[key]``. Sharing the inode has three
+    consequences:
+
+    * a hit's ``os.utime`` refreshes the recency of the whole group;
+    * a corrupted group file is a miss for every key in it;
+    * the group's bytes are freed when its last name is evicted or
+      overwritten.
+
+    Durability: the document is written to a uniquely-named
+    ``*.json.tmp-*`` file and ``fsync``'d once, before any name is
+    visible. Each name is then published atomically: an ``os.link`` to
+    its own temp name, then ``os.replace`` onto ``<key>.json``, so
+    concurrent writers leave either the old entry or the new one. Names
+    are not directory-fsync'd, so a crash can lose a name (a miss) but
+    never tear one. A process killed mid-commit leaves only
+    ``*.tmp-*`` orphans, which no read path ever considers an entry.
+    The directory must be on a filesystem with hard links.
     """
 
     SUFFIX = ".json"
@@ -204,9 +233,14 @@ class DiskStore:
         return self.root / (_check_key(key) + self.SUFFIX)
 
     @staticmethod
-    def _load(path: Path) -> Optional[dict]:
-        """Read one entry file tolerantly: anything unreadable, torn,
-        non-JSON, or schema-mismatched is ``None``, never an error."""
+    def _tmp(path: Path) -> Path:
+        return path.parent / f"{path.name}.tmp-{os.getpid()}-{uuid4().hex[:8]}"
+
+    @classmethod
+    def _load(cls, path: Path) -> Optional[dict]:
+        """Read the entry a name holds tolerantly: anything unreadable,
+        torn, non-JSON, schema-mismatched, or missing this name's key is
+        ``None``, never an error."""
         try:
             with open(path, "r", encoding="utf-8") as f:
                 data = json.load(f)
@@ -216,7 +250,10 @@ class DiskStore:
             return None
         if data.get("schema") != STORE_SCHEMA_VERSION:
             return None
-        entry = data.get("entry")
+        entries = data.get("entries")
+        if not isinstance(entries, dict):
+            return None
+        entry = entries.get(path.name[: -len(cls.SUFFIX)])
         if not isinstance(entry, dict):
             return None
         return entry
@@ -228,26 +265,42 @@ class DiskStore:
         if entry is None:
             return None
         try:
-            os.utime(path)  # refresh LRU recency
+            os.utime(path)  # refresh LRU recency (of the whole group)
         except OSError:
             pass
         return entry
 
     def put(self, key: str, entry: dict) -> None:
-        path = self._path(key)
-        tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{uuid4().hex[:8]}"
-        payload = {"schema": STORE_SCHEMA_VERSION, "entry": entry}
+        self.put_many({key: entry})
+
+    def put_many(self, entries: Mapping[str, dict]) -> None:
+        """Commit every ``key: entry`` pair with one ``fsync``.
+
+        Every key is validated before anything is written. If publishing
+        fails part-way, the names already published stay intact and the
+        rest stay as they were; no temp file is left behind.
+        """
+        paths = [self._path(key) for key in entries]
+        if not paths:
+            return
+        payload = {"schema": STORE_SCHEMA_VERSION, "entries": dict(entries)}
+        group = link = self._tmp(paths[0])
         try:
-            with open(tmp, "w", encoding="utf-8") as f:
+            with open(group, "w", encoding="utf-8") as f:
                 # One encode and one write: json.dump streams the
                 # document through many small writes.
                 f.write(json.dumps(payload, sort_keys=True))
                 f.flush()
                 os.fsync(f.fileno())
-            os.replace(tmp, path)
+            for path in paths:
+                link = self._tmp(path)
+                os.link(group, link)
+                os.replace(link, path)
         finally:
-            if tmp.exists():  # publish failed; don't leave orphans
-                tmp.unlink(missing_ok=True)
+            # The last link is gone once published; on a failed publish
+            # it is an orphan, like the group file itself.
+            group.unlink(missing_ok=True)
+            link.unlink(missing_ok=True)
         self._evict()
 
     # ------------------------------------------------------------------
@@ -270,7 +323,7 @@ class DiskStore:
                 now: Optional[float] = None) -> int:
         """Evict entries whose provenance age is >= ``max_age_seconds``.
 
-        Each entry file is read directly (corruption-tolerantly) *without*
+        Each name is read directly (corruption-tolerantly) *without*
         refreshing its LRU mtime — GC must not make every stale entry
         look freshly used. Undatable entries — corrupt files, foreign
         schemas, or entries with no numeric ``provenance.created_at`` —

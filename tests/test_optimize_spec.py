@@ -259,9 +259,9 @@ class TestCacheTokenProperties:
 
     @pytest.mark.parametrize("spec, key", [
         (OptimizeSpec(),
-         "ef58ac2172137e1671ba50d3624c3564c6060f2974f149ca3a5b52eb6e1ddff7"),
+         "a7d3bd68ce3dc2ad05ca50c59eb45608fa0c1f24c398b837894e710be2117151"),
         (OptimizeSpec(backend="analytic"),
-         "14f2d714c519bd42e33fd7210a79849dfea9f9bf20d0511e34dbed4dbbb7a8fc"),
+         "2d228f1a188914eba1f192ce353f8716d8047d9bdd5771844660ece3f96c4461"),
     ], ids=("default", "analytic"))
     def test_pinned_cache_keys(self, spec, key):
         """Literal keys: a change to the token's layout or defaults would

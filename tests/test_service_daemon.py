@@ -2,6 +2,7 @@
 admission control (429 + retry hint), and disk-store fault tolerance."""
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -769,10 +770,14 @@ class TestDiskStoreFaultTolerance:
         store = DiskStore(tmp_path)
         assert len(store) == 2
         # Tear one final entry file and leave a mid-write temp orphan —
-        # the two crash artifacts a kill -9 can leave behind.
+        # the two crash artifacts a kill -9 can leave behind. The torn
+        # copy replaces the name: writing through it would truncate the
+        # inode both keys of the batch share.
         victim = store.keys()[0]
         path = tmp_path / f"{victim}.json"
-        path.write_text(path.read_text()[: 25])
+        torn = tmp_path / "torn"
+        torn.write_text(path.read_text()[: 25])
+        os.replace(torn, path)
         (tmp_path / f"{victim}.json.tmp-777-cafe").write_text('{"sch')
 
         dm = OptimizationDaemon(

@@ -37,6 +37,14 @@ def make_fleet():
     return generate_pipeline_fleet(**FLEET_KWARGS)
 
 
+def _tear_name(path, keep=40):
+    """Give one name a torn document of its own: its batch-mates keep
+    the group's inode untouched."""
+    torn = path.with_name(path.name + ".torn")
+    torn.write_text(path.read_text()[:keep])
+    os.replace(torn, path)
+
+
 class TestInMemoryStore:
     def test_round_trip(self):
         store = InMemoryStore()
@@ -73,10 +81,11 @@ class TestDiskStore:
         store = DiskStore(tmp_path)
         store.put("k1", {"result": {"x": 1}})
         assert store.get("k1") == {"result": {"x": 1}}
-        # One JSON file per entry, wrapped with the schema version.
+        # One name per entry; the document holds the commit's entries,
+        # wrapped with the schema version.
         data = json.loads((tmp_path / "k1.json").read_text())
         assert data["schema"] == STORE_SCHEMA_VERSION
-        assert data["entry"] == {"result": {"x": 1}}
+        assert data["entries"] == {"k1": {"result": {"x": 1}}}
         assert store.keys() == ("k1",)
 
     def test_entry_file_is_one_sorted_json_document(self, tmp_path):
@@ -84,7 +93,7 @@ class TestDiskStore:
                  "provenance": {"created_at": 12.25}}
         DiskStore(tmp_path).put("k1", entry)
         assert (tmp_path / "k1.json").read_bytes() == json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "entry": entry},
+            {"schema": STORE_SCHEMA_VERSION, "entries": {"k1": entry}},
             sort_keys=True).encode("utf-8")
 
     def test_fresh_instance_reads_existing_entries(self, tmp_path):
@@ -119,7 +128,8 @@ class TestDiskStore:
     def test_wrong_schema_version_is_a_miss(self, tmp_path):
         store = DiskStore(tmp_path)
         (tmp_path / "k1.json").write_text(json.dumps(
-            {"schema": STORE_SCHEMA_VERSION + 1, "entry": {"result": {}}}
+            {"schema": STORE_SCHEMA_VERSION + 1,
+             "entries": {"k1": {"result": {}}}}
         ))
         assert store.get("k1") is None
 
@@ -133,14 +143,32 @@ class TestDiskStore:
         ))
         assert store.get("k1") is None
 
+    def test_schema_v3_entry_is_a_miss(self, tmp_path):
+        """Schema 4 documents hold a group of entries; a v3 single-entry
+        file is a miss, even when its layout is intact."""
+        assert STORE_SCHEMA_VERSION >= 4
+        store = DiskStore(tmp_path)
+        (tmp_path / "k1.json").write_text(json.dumps(
+            {"schema": 3, "entry": {"result": {"x": 1}}}
+        ))
+        assert store.get("k1") is None
+        assert store.compact(0, now=1e12) == 0
+
     def test_non_dict_payloads_are_misses(self, tmp_path):
         store = DiskStore(tmp_path)
         (tmp_path / "k1.json").write_text(json.dumps([1, 2, 3]))
         (tmp_path / "k2.json").write_text(json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "entry": "not-a-dict"}
+            {"schema": STORE_SCHEMA_VERSION, "entries": {"k2": "not-a-dict"}}
         ))
-        assert store.get("k1") is None
-        assert store.get("k2") is None
+        (tmp_path / "k3.json").write_text(json.dumps(
+            {"schema": STORE_SCHEMA_VERSION, "entries": ["k3"]}
+        ))
+        # A document that lacks the name's own key holds no entry for it.
+        (tmp_path / "k4.json").write_text(json.dumps(
+            {"schema": STORE_SCHEMA_VERSION, "entries": {"k1": {"v": 1}}}
+        ))
+        for key in ("k1", "k2", "k3", "k4"):
+            assert store.get(key) is None
 
     def test_lru_bound_evicts_least_recently_used(self, tmp_path):
         store = DiskStore(tmp_path, max_entries=2)
@@ -219,6 +247,24 @@ class TestStoreAliasingParity:
         b = any_store.get("k")
         a["result"]["decisions"].append("mine")
         assert b == self.entry()
+
+    def test_mutating_a_put_many_group_does_not_reach_the_cache(self,
+                                                                any_store):
+        shared = self.entry()
+        group = {"a": shared, "b": shared, "c": self.entry()}
+        any_store.put_many(group)
+        shared["result"]["decisions"].append("evil")
+        group["c"]["provenance"]["created_at"] = -1.0
+        group["d"] = self.entry()
+        for key in ("a", "b", "c"):
+            assert any_store.get(key) == self.entry()
+        assert any_store.get("d") is None
+
+    def test_batch_mates_are_mutually_isolated(self, any_store):
+        shared = self.entry()
+        any_store.put_many({"a": shared, "b": shared})
+        any_store.get("a")["result"]["decisions"].append("mine")
+        assert any_store.get("b") == self.entry()
 
 
 def _dated(created_at):
@@ -302,6 +348,133 @@ class TestCompactGC:
         assert (tmp_path / "survivor.json").stat().st_mtime == 1000
 
 
+def _distinct_fleet(n):
+    """``n`` jobs, each its own template: ``n`` misses on a cold store."""
+    return generate_pipeline_fleet(
+        num_jobs=n, distinct=n, seed=11,
+        config=FleetConfig(domain_weights={"vision": 1.0},
+                           optimize_spec=FAST_SPEC),
+    )
+
+
+@pytest.fixture
+def fsync_calls(monkeypatch):
+    """Count every ``os.fsync`` while still syncing."""
+    calls = []
+    real = os.fsync
+
+    def spy(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return calls
+
+
+class TestGroupCommit:
+    """DiskStore.put_many: one fsync'd document per commit, hard-linked
+    under every key of the commit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_one_fsync_per_optimize_fleet(self, tmp_path, fsync_calls, n):
+        svc = BatchOptimizer(executor="serial", spec=FAST_SPEC,
+                             store=DiskStore(tmp_path))
+        report = svc.optimize_fleet(_distinct_fleet(n))
+        assert report.cache_misses == n
+        assert len(fsync_calls) == 1
+        assert len(svc.store) == n
+        # The names of the batch share one inode.
+        inodes = {(tmp_path / f"{key}.json").stat().st_ino
+                  for key in svc.store.keys()}
+        assert len(inodes) == 1
+        # An all-hit batch commits nothing.
+        assert svc.optimize_fleet(_distinct_fleet(n)).cache_misses == 0
+        assert len(fsync_calls) == 1
+
+    def test_put_many_empty_is_a_no_op(self, tmp_path, fsync_calls):
+        store = DiskStore(tmp_path)
+        store.put_many({})
+        assert fsync_calls == []
+        assert list(tmp_path.iterdir()) == []
+        memory = InMemoryStore()
+        memory.put_many({})
+        assert len(memory) == 0
+
+    def test_invalid_key_writes_nothing(self, tmp_path, fsync_calls):
+        store = DiskStore(tmp_path)
+        with pytest.raises(ValueError):
+            store.put_many({"good": {"v": 1}, "../bad": {"v": 2}})
+        assert fsync_calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_publish_failure_keeps_published_keys(self, tmp_path,
+                                                  monkeypatch):
+        store = DiskStore(tmp_path)
+        store.put("c", {"v": "old"})
+        real = os.replace
+        published = []
+
+        def flaky(src, dst):
+            if published:
+                raise OSError("disk went away")
+            real(src, dst)
+            published.append(dst)
+
+        monkeypatch.setattr(os, "replace", flaky)
+        with pytest.raises(OSError, match="disk went away"):
+            store.put_many({"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}})
+        monkeypatch.setattr(os, "replace", real)
+        assert store.get("a") == {"v": 1}
+        assert store.get("b") is None
+        assert store.get("c") == {"v": "old"}   # the old entry survives
+        # No temp file is readable as an entry, and none is left over.
+        assert store.keys() == ("a", "c")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.json", "c.json"]
+        store.clear()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_torn_group_is_a_miss_for_every_batch_mate(self, tmp_path):
+        fleet = _distinct_fleet(4)
+        svc = BatchOptimizer(executor="serial", spec=FAST_SPEC,
+                             store=DiskStore(tmp_path))
+        first = svc.optimize_fleet(fleet)
+        # Writing through one name truncates the inode all four share.
+        path = tmp_path / f"{svc.store.keys()[0]}.json"
+        path.write_text(path.read_text()[:40])
+        store = DiskStore(tmp_path)
+        assert all(store.get(key) is None for key in store.keys())
+        again = BatchOptimizer(executor="serial", spec=FAST_SPEC,
+                               store=store).optimize_fleet(fleet)
+        assert again.cache_misses == 4
+        assert [j.pipeline_json for j in again.jobs] == \
+               [j.pipeline_json for j in first.jobs]
+        assert all(store.get(key) is not None for key in store.keys())
+
+    def test_overwriting_one_key_keeps_its_batch_mates(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.put_many({"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}})
+        assert (tmp_path / "a.json").stat().st_nlink == 3
+        store.put("b", {"v": 20})
+        assert store.get("a") == {"v": 1}
+        assert store.get("b") == {"v": 20}
+        assert store.get("c") == {"v": 3}
+        # The old group keeps one link per remaining name.
+        assert (tmp_path / "a.json").stat().st_nlink == 2
+        assert (tmp_path / "b.json").stat().st_nlink == 1
+
+    def test_hit_refreshes_the_whole_group(self, tmp_path):
+        store = DiskStore(tmp_path, max_entries=3)
+        store.put_many({"a": {"v": 1}, "b": {"v": 2}})
+        store.put("c", {"v": 3})
+        os.utime(tmp_path / "a.json", (1000, 1000))   # the a+b group
+        os.utime(tmp_path / "c.json", (2000, 2000))
+        assert (tmp_path / "b.json").stat().st_mtime == 1000
+        store.get("a")   # refreshes b too: one inode
+        store.put("d", {"v": 4})   # evicts c, the least recently used
+        assert store.keys() == ("a", "b", "d")
+
+
 class TestCompactStoreOnService:
     def test_compact_store_uses_the_injected_clock(self, tmp_path):
         tick = [100.0]
@@ -371,10 +544,10 @@ class TestBatchOptimizerWithDiskStore:
         store = DiskStore(tmp_path)
         svc = BatchOptimizer(executor="serial", spec=FAST_SPEC, store=store)
         svc.optimize_fleet(fleet)
-        # Truncate one entry (a crash mid-rewrite of the final file).
+        # Tear one key: replace its name with a truncated copy. Writing
+        # through the name would truncate the inode its batch-mates share.
         victim = store.keys()[0]
-        path = tmp_path / f"{victim}.json"
-        path.write_text(path.read_text()[: 40])
+        _tear_name(tmp_path / f"{victim}.json")
         again = BatchOptimizer(executor="serial", spec=FAST_SPEC,
                                store=DiskStore(tmp_path))
         report = again.optimize_fleet(fleet)
