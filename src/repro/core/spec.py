@@ -36,8 +36,9 @@ DEFAULT_PASSES = ("parallelism", "prefetch", "cache")
 #: layout this code no longer understands. Version 3: passes plan
 #: against the analytic model, so a simulate spec's decisions and
 #: predicted throughput for the same token differ from version 2's.
-#: Version 4: a disk document holds a group commit's entries,
-#: ``{"entries": {key: entry, ...}}``, not one ``"entry"``.
+#: Version 4: a disk document holds a group of up to 8 entries,
+#: ``{"entries": {key: entry, ...}}`` one entry per line, not one
+#: ``"entry"``.
 STORE_SCHEMA_VERSION = 4
 
 

@@ -7,8 +7,9 @@ identical jobs through a signature-keyed result store and aggregating a
 cache hit rate). Around it:
 
 * :mod:`repro.service.store` — pluggable result stores; ``DiskStore``
-  persists each batch's entries as one fsync'd JSON file, hard-linked
-  under every key, so the cache survives process restarts; both stores
+  persists a batch's entries as fsync'd JSON files of up to 8 entries,
+  each hard-linked under its keys, so the cache survives process
+  restarts; both stores
   garbage-collect by provenance age
   (``compact``).
 * :mod:`repro.service.daemon` — a long-running HTTP front-end

@@ -550,7 +550,8 @@ class BatchOptimizer:
                 }
                 for key, result in computed.items()
             }
-            # One commit for the whole batch: a DiskStore pays one fsync.
+            # One commit for the whole batch: a DiskStore pays one fsync
+            # per group of up to 8 entries.
             self.store.put_many(fresh_entries)
             entries.update(fresh_entries)
 

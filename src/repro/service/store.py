@@ -7,18 +7,19 @@ so every process restart re-optimized the whole fleet. A
 * :class:`InMemoryStore` — the original behaviour: a per-process mapping
   with an optional LRU bound.
 * :class:`DiskStore` — one name per entry under a cache directory,
-  group-committed: :meth:`DiskStore.put_many` writes a whole batch as
-  one JSON document with one ``fsync`` and publishes it under each of
-  the batch's ``<key>.json`` names by hard link, so the names of one
-  commit share an inode. Every name is published atomically (link to a
+  group-committed: :meth:`DiskStore.put_many` writes a batch as JSON
+  documents of at most ``DiskStore.GROUP_SIZE`` (8) entries, one
+  ``fsync`` each, and publishes each document under its keys'
+  ``<key>.json`` names by hard link, so the names of one group share an
+  inode. Every name is published atomically (link to a
   temp name + ``os.replace``) after the data is on disk, so a crash can
   lose a name — a miss — but never leave a torn one. Loads are
   corruption-tolerant: a truncated file, invalid JSON, or a document
-  written under a different
+  written in another layout or under a different
   :data:`~repro.core.spec.STORE_SCHEMA_VERSION` reads as a miss, never
   an exception. An optional ``max_entries`` bound evicts
   least-recently-used names (recency = file mtime, refreshed on every
-  hit, and shared by the names of one commit).
+  hit, and shared by the names of one group).
 
 Entries are opaque JSON-compatible mappings; the service stores
 ``{"result": <worker result>, "provenance": {...}}`` where provenance
@@ -55,6 +56,13 @@ from repro.core.spec import STORE_SCHEMA_VERSION
 #: characters allowed in a store key (canonical_hash emits lowercase hex,
 #: but any filename-safe token is accepted so tests can use readable keys)
 _SAFE_KEY_CHARS = frozenset(string.ascii_letters + string.digits + "._-")
+
+#: A group document is one sorted JSON document,
+#: ``{"entries": {key: entry, ...}, "schema": STORE_SCHEMA_VERSION}``,
+#: laid out one entry per line between this head and tail, so a read
+#: can find and decode its own line alone.
+_HEAD = b'{"entries": {\n'
+_TAIL = b'\n}, "schema": %d}\n' % STORE_SCHEMA_VERSION
 
 
 @runtime_checkable
@@ -196,31 +204,38 @@ class InMemoryStore:
 class DiskStore:
     """Group-committed JSON store under a cache directory.
 
-    Layout: each key is a name ``<root>/<key>.json``. One
-    :meth:`put_many` commit writes one document,
-    ``{"schema": STORE_SCHEMA_VERSION, "entries": {key: entry, ...}}``,
-    and publishes it under every key of the commit by hard link, so the
-    names of one commit share an inode. A read parses the document and
-    takes its own ``entries[key]``. Sharing the inode has three
-    consequences:
+    Layout: each key is a name ``<root>/<key>.json``. :meth:`put_many`
+    splits its keys into groups of at most :attr:`GROUP_SIZE`; each
+    group is one document,
+    ``{"entries": {key: entry, ...}, "schema": STORE_SCHEMA_VERSION}``
+    with keys sorted and one entry per line, published under every key
+    of the group by hard link, so the names of one group share an
+    inode. A read finds and decodes its own line only, so a hit costs
+    one entry's parse. Sharing the inode has three consequences:
 
     * a hit's ``os.utime`` refreshes the recency of the whole group;
-    * a corrupted group file is a miss for every key in it;
+    * a torn (truncated) or overwritten group file is a miss for every
+      key in it; a line damaged in place misses for its own key only;
     * the group's bytes are freed when its last name is evicted or
       overwritten.
 
-    Durability: the document is written to a uniquely-named
-    ``*.json.tmp-*`` file and ``fsync``'d once, before any name is
-    visible. Each name is then published atomically: an ``os.link`` to
+    Durability: each group document is written to a uniquely-named
+    ``*.json.tmp-*`` file and ``fsync``'d once, before any of its names
+    is visible. Each name is then published atomically: an ``os.link`` to
     its own temp name, then ``os.replace`` onto ``<key>.json``, so
     concurrent writers leave either the old entry or the new one. Names
     are not directory-fsync'd, so a crash can lose a name (a miss) but
     never tear one. A process killed mid-commit leaves only
     ``*.tmp-*`` orphans, which no read path ever considers an entry.
-    The directory must be on a filesystem with hard links.
+    The directory must be on a filesystem with hard links; the
+    constructor checks and raises :class:`OSError` otherwise.
     """
 
     SUFFIX = ".json"
+    #: most keys one group document holds: a hit parses its whole group,
+    #: and a group's bytes stay on disk until its last name goes, so
+    #: this bounds both. A batch of up to 8 misses still costs one fsync.
+    GROUP_SIZE = 8
 
     def __init__(self, root, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
@@ -228,6 +243,25 @@ class DiskStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
+        self._check_hard_links()
+
+    def _check_hard_links(self) -> None:
+        """Fail at construction, not after a batch's compute, when the
+        directory cannot hold hard links."""
+        probe = link = self._tmp(self.root / ("link-probe" + self.SUFFIX))
+        try:
+            probe.touch()
+            link = self._tmp(probe)
+            os.link(probe, link)
+        except OSError as exc:
+            raise OSError(
+                exc.errno,
+                f"DiskStore needs a filesystem with hard links; "
+                f"cannot link in {self.root}: {exc.strerror or exc}",
+            ) from exc
+        finally:
+            probe.unlink(missing_ok=True)
+            link.unlink(missing_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.root / (_check_key(key) + self.SUFFIX)
@@ -240,20 +274,27 @@ class DiskStore:
     def _load(cls, path: Path) -> Optional[dict]:
         """Read the entry a name holds tolerantly: anything unreadable,
         torn, non-JSON, schema-mismatched, or missing this name's key is
-        ``None``, never an error."""
+        ``None``, never an error. Only this name's own line is decoded,
+        so a hit costs one entry's parse, not its group's."""
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except (OSError, ValueError):
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError:
             return None
-        if not isinstance(data, dict):
+        # No entry line holds a raw newline (json.dumps escapes them), so
+        # a torn document has lost its tail: every key in it misses.
+        if not (data.startswith(_HEAD) and data.endswith(_TAIL)):
             return None
-        if data.get("schema") != STORE_SCHEMA_VERSION:
+        marker = b'\n"' + path.name[: -len(cls.SUFFIX)].encode() + b'": '
+        start = data.find(marker, len(_HEAD) - 1)
+        if start < 0:
             return None
-        entries = data.get("entries")
-        if not isinstance(entries, dict):
+        start += len(marker)
+        try:
+            line = data[start:data.index(b"\n", start)].rstrip(b",")
+            entry = json.loads(line.decode())  # str decodes faster
+        except ValueError:
             return None
-        entry = entries.get(path.name[: -len(cls.SUFFIX)])
         if not isinstance(entry, dict):
             return None
         return entry
@@ -274,22 +315,35 @@ class DiskStore:
         self.put_many({key: entry})
 
     def put_many(self, entries: Mapping[str, dict]) -> None:
-        """Commit every ``key: entry`` pair with one ``fsync``.
+        """Commit every ``key: entry`` pair, one ``fsync`` per group of
+        at most :attr:`GROUP_SIZE` keys.
 
         Every key is validated before anything is written. If publishing
         fails part-way, the names already published stay intact and the
         rest stay as they were; no temp file is left behind.
         """
-        paths = [self._path(key) for key in entries]
-        if not paths:
-            return
-        payload = {"schema": STORE_SCHEMA_VERSION, "entries": dict(entries)}
+        paths = {key: self._path(key) for key in entries}
+        keys = list(paths)
+        for start in range(0, len(keys), self.GROUP_SIZE):
+            group = keys[start:start + self.GROUP_SIZE]
+            self._commit({key: entries[key] for key in group},
+                         [paths[key] for key in group])
+        if keys:
+            self._evict()
+
+    def _commit(self, entries: Mapping[str, dict], paths) -> None:
+        """Write one group document, fsync it, and link it under
+        every name in ``paths``."""
+        # One sorted JSON document, one entry per line (see _HEAD).
+        body = ",\n".join(
+            f"{json.dumps(key)}: {json.dumps(entries[key], sort_keys=True)}"
+            for key in sorted(entries)
+        )
         group = link = self._tmp(paths[0])
         try:
-            with open(group, "w", encoding="utf-8") as f:
-                # One encode and one write: json.dump streams the
-                # document through many small writes.
-                f.write(json.dumps(payload, sort_keys=True))
+            with open(group, "wb") as f:
+                # One write: json.dump streams through many small writes.
+                f.write(_HEAD + body.encode("utf-8") + _TAIL)
                 f.flush()
                 os.fsync(f.fileno())
             for path in paths:
@@ -301,7 +355,6 @@ class DiskStore:
             # it is an orphan, like the group file itself.
             group.unlink(missing_ok=True)
             link.unlink(missing_ok=True)
-        self._evict()
 
     # ------------------------------------------------------------------
     def keys(self) -> Tuple[str, ...]:

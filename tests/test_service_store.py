@@ -5,6 +5,7 @@ a ``DiskStore`` directory that a *separate process* already populated
 must serve an unchanged fleet at >= 90% cache hit rate.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -12,10 +13,12 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro
+import repro.service.store as store_module
 from repro.core.spec import STORE_SCHEMA_VERSION, OptimizeSpec
 from repro.fleet.generator import FleetConfig, generate_pipeline_fleet
 from repro.service import BatchOptimizer, DiskStore, InMemoryStore, ResultStore
@@ -35,6 +38,15 @@ FLEET_KWARGS = dict(
 
 def make_fleet():
     return generate_pipeline_fleet(**FLEET_KWARGS)
+
+
+def _group_document(entries, schema=STORE_SCHEMA_VERSION):
+    """The bytes DiskStore writes for one group: a sorted JSON document
+    with one entry per line."""
+    lines = ",\n".join(f"{json.dumps(key)}: {json.dumps(entry, sort_keys=True)}"
+                       for key, entry in sorted(entries.items()))
+    return ('{"entries": {\n' + lines
+            + f'\n}}, "schema": {json.dumps(schema)}}}\n').encode("utf-8")
 
 
 def _tear_name(path, keep=40):
@@ -91,10 +103,21 @@ class TestDiskStore:
     def test_entry_file_is_one_sorted_json_document(self, tmp_path):
         entry = {"result": {"z": [1.5, None], "a": "x"},
                  "provenance": {"created_at": 12.25}}
-        DiskStore(tmp_path).put("k1", entry)
-        assert (tmp_path / "k1.json").read_bytes() == json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "entries": {"k1": entry}},
-            sort_keys=True).encode("utf-8")
+        other = {"result": {"line\nbreak": "\u00e9"}}
+        DiskStore(tmp_path).put_many({"k2": other, "k1": entry})
+        data = (tmp_path / "k1.json").read_bytes()
+        # One entry per line, keys sorted at every level.
+        assert data == (
+            b'{"entries": {\n'
+            + b'"k1": ' + json.dumps(entry, sort_keys=True).encode() + b",\n"
+            + b'"k2": ' + json.dumps(other, sort_keys=True).encode()
+            + b'\n}, "schema": %d}\n' % STORE_SCHEMA_VERSION
+        )
+        assert data == _group_document({"k1": entry, "k2": other})
+        assert json.loads(data) == {
+            "entries": {"k1": entry, "k2": other},
+            "schema": STORE_SCHEMA_VERSION,
+        }
 
     def test_fresh_instance_reads_existing_entries(self, tmp_path):
         DiskStore(tmp_path).put("k1", {"result": {"x": 1}})
@@ -127,10 +150,8 @@ class TestDiskStore:
 
     def test_wrong_schema_version_is_a_miss(self, tmp_path):
         store = DiskStore(tmp_path)
-        (tmp_path / "k1.json").write_text(json.dumps(
-            {"schema": STORE_SCHEMA_VERSION + 1,
-             "entries": {"k1": {"result": {}}}}
-        ))
+        (tmp_path / "k1.json").write_bytes(_group_document(
+            {"k1": {"result": {}}}, schema=STORE_SCHEMA_VERSION + 1))
         assert store.get("k1") is None
 
     def test_schema_v2_entry_is_a_miss(self, tmp_path):
@@ -157,16 +178,14 @@ class TestDiskStore:
     def test_non_dict_payloads_are_misses(self, tmp_path):
         store = DiskStore(tmp_path)
         (tmp_path / "k1.json").write_text(json.dumps([1, 2, 3]))
-        (tmp_path / "k2.json").write_text(json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "entries": {"k2": "not-a-dict"}}
-        ))
+        (tmp_path / "k2.json").write_bytes(
+            _group_document({"k2": "not-a-dict"}))
+        # A whole document on one line is not the group layout.
         (tmp_path / "k3.json").write_text(json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "entries": ["k3"]}
-        ))
+            {"entries": {"k3": {"v": 3}}, "schema": STORE_SCHEMA_VERSION},
+            sort_keys=True) + "\n")
         # A document that lacks the name's own key holds no entry for it.
-        (tmp_path / "k4.json").write_text(json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "entries": {"k1": {"v": 1}}}
-        ))
+        (tmp_path / "k4.json").write_bytes(_group_document({"k1": {"v": 1}}))
         for key in ("k1", "k2", "k3", "k4"):
             assert store.get(key) is None
 
@@ -391,6 +410,45 @@ class TestGroupCommit:
         assert svc.optimize_fleet(_distinct_fleet(n)).cache_misses == 0
         assert len(fsync_calls) == 1
 
+    def test_large_batch_commits_bounded_groups(self, tmp_path,
+                                                fsync_calls, monkeypatch):
+        n = 2 * DiskStore.GROUP_SIZE + 4
+        fleet = _distinct_fleet(n)
+        cold = BatchOptimizer(executor="serial", spec=FAST_SPEC,
+                              store=DiskStore(tmp_path)).optimize_fleet(fleet)
+        assert cold.cache_misses == n
+        assert len(fsync_calls) == 3   # one per group, not one per batch
+        groups = {}
+        for path in tmp_path.glob("*.json"):
+            entries = json.loads(path.read_text())["entries"]
+            assert path.stem in entries
+            groups[path.stat().st_ino] = len(entries)
+        assert sorted(groups.values()) == [4, 8, 8]
+        # A warm restart decodes one entry per hit, not its whole group.
+        decoded = []
+
+        def spy(text):
+            decoded.append(json.loads(text))
+            return decoded[-1]
+
+        monkeypatch.setattr(store_module, "json",
+                            SimpleNamespace(loads=spy, dumps=json.dumps))
+        warm = BatchOptimizer(executor="serial", spec=FAST_SPEC,
+                              store=DiskStore(tmp_path)).optimize_fleet(fleet)
+        assert warm.cache_misses == 0
+        assert len(decoded) == n
+        assert all(set(doc) == {"result", "provenance"} for doc in decoded)
+
+    def test_no_hard_links_fails_at_construction(self, tmp_path,
+                                                 monkeypatch):
+        def no_link(src, dst):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", no_link)
+        with pytest.raises(OSError, match="hard links"):
+            DiskStore(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_put_many_empty_is_a_no_op(self, tmp_path, fsync_calls):
         store = DiskStore(tmp_path)
         store.put_many({})
@@ -450,6 +508,19 @@ class TestGroupCommit:
         assert [j.pipeline_json for j in again.jobs] == \
                [j.pipeline_json for j in first.jobs]
         assert all(store.get(key) is not None for key in store.keys())
+
+    def test_damaged_line_is_a_miss_for_its_key_only(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.put_many({"a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}})
+        path = tmp_path / "b.json"
+        data = path.read_bytes()
+        # Same length, so the document keeps its tail: not torn.
+        damaged = data.replace(b'"b": {"v": 2}', b'"b": {"v": ?}')
+        assert len(damaged) == len(data) and damaged != data
+        path.write_bytes(damaged)   # through the shared inode
+        assert store.get("a") == {"v": 1}
+        assert store.get("b") is None
+        assert store.get("c") == {"v": 3}
 
     def test_overwriting_one_key_keeps_its_batch_mates(self, tmp_path):
         store = DiskStore(tmp_path)
