@@ -5,10 +5,11 @@ iterations"; here each logical pass is an :class:`OptimizerPass` — an
 object with a ``name`` and a ``plan(ctx)`` method that inspects the
 current :class:`~repro.core.rates.PipelineModel` and returns a list of
 :class:`Action` rewrites. The driver (:meth:`repro.core.plumber.Plumber.
-optimize`) applies the actions through :mod:`repro.core.rewriter` and
-re-traces the rewritten pipeline with the analytic backend, so a pass
-never mutates a pipeline itself — it only *plans*, always against the
-closed-form model. The spec's trace backend certifies the final program
+optimize`) applies a pass's whole action list as one
+:func:`~repro.core.rewriter.rewrite` and re-traces the pipeline with the
+analytic backend when that changed it, so a pass never mutates a
+pipeline itself — it only *plans*, always against the closed-form
+model. The spec's trace backend certifies the final program
 once the passes are done.
 
 Passes are looked up by name through a module-level registry, so a
@@ -50,14 +51,17 @@ from repro.core.cache_planner import CacheDecision, plan_caches
 from repro.core.lp import LPSolution, solve_allocation
 from repro.core.prefetch_planner import plan_prefetch
 from repro.core.rates import PipelineModel
-from repro.core.rewriter import (
+from repro.core.rewriter import Draft, rewrite
+# Not called here (a pass's actions are one rewrite), but
+# perfbench/design.json wraps these names in this module.
+from repro.core.rewriter import (  # noqa: F401
     insert_cache_after,
     insert_prefetch_after,
     remove_node,
     set_parallelism,
 )
 from repro.core.spec import DEFAULT_PASSES, OptimizeSpec
-from repro.graph.datasets import Pipeline, PrefetchNode
+from repro.graph.datasets import CacheNode, Pipeline, PrefetchNode
 from repro.host.machine import Machine
 from repro.host.memory import MemoryBudget
 
@@ -83,7 +87,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Action:
-    """One planned rewrite; subclasses apply themselves via the rewriter.
+    """One planned rewrite; each subclass makes its own edit to the
+    :class:`~repro.core.rewriter.Draft` of a
+    :func:`~repro.core.rewriter.rewrite`.
 
     ``description`` is the human-readable decision-log line the driver
     records when the action is applied.
@@ -91,8 +97,13 @@ class Action:
 
     description: str
 
-    def apply(self, pipeline: Pipeline) -> Pipeline:
+    def edit(self, draft: Draft) -> None:
         raise NotImplementedError
+
+    def apply(self, pipeline: Pipeline) -> Pipeline:
+        """This action alone as one rewrite (``pipeline`` itself when it
+        changes nothing)."""
+        return rewrite(pipeline, [self])
 
 
 @dataclass(frozen=True)
@@ -101,35 +112,41 @@ class SetParallelism(Action):
 
     plan: Mapping[str, int] = field(default_factory=dict)
 
-    def apply(self, pipeline: Pipeline) -> Pipeline:
-        return set_parallelism(pipeline, dict(self.plan))
+    def edit(self, draft: Draft) -> None:
+        draft.set_parallelism(self.plan)
 
 
 @dataclass(frozen=True)
 class InsertPrefetch(Action):
-    """Insert a prefetch buffer above ``target`` (mechanism 3 of §B)."""
+    """Insert a prefetch buffer above ``target`` (mechanism 3 of §B);
+    ``name`` defaults to ``prefetch_<target>``."""
 
     target: str = ""
     buffer_size: int = 2
     name: Optional[str] = None
 
-    def apply(self, pipeline: Pipeline) -> Pipeline:
-        return insert_prefetch_after(
-            pipeline, self.target, self.buffer_size, name=self.name
+    def edit(self, draft: Draft) -> None:
+        name = self.name or f"prefetch_{self.target}"
+        draft.insert_after(
+            self.target,
+            lambda child: PrefetchNode(name, child, self.buffer_size),
         )
 
 
 @dataclass(frozen=True)
 class InsertCache(Action):
-    """Insert a cache above ``target`` (mechanism 3 of §B)."""
+    """Insert a cache above ``target`` (mechanism 3 of §B); ``name``
+    defaults to ``cache_<target>``."""
 
     target: str = ""
     name: Optional[str] = None
     storage: str = "memory"
 
-    def apply(self, pipeline: Pipeline) -> Pipeline:
-        return insert_cache_after(
-            pipeline, self.target, name=self.name, storage=self.storage
+    def edit(self, draft: Draft) -> None:
+        name = self.name or f"cache_{self.target}"
+        draft.insert_after(
+            self.target,
+            lambda child: CacheNode(name, child, storage=self.storage),
         )
 
 
@@ -139,8 +156,8 @@ class RemovePipelineNode(Action):
 
     target: str = ""
 
-    def apply(self, pipeline: Pipeline) -> Pipeline:
-        return remove_node(pipeline, self.target)
+    def edit(self, draft: Draft) -> None:
+        draft.remove(self.target)
 
 
 # ----------------------------------------------------------------------
@@ -151,11 +168,11 @@ class PassContext:
     """Everything a pass may read (and the driver state it may update).
 
     ``model`` always reflects the *current* pipeline — the driver
-    refreshes it (an analytic trace) after every pass that applied
-    actions. ``lp`` and ``caches`` are cross-pass state slots: the
-    parallelism pass records its latest LP solution, the cache pass its
-    cache decisions (closest-to-root first; one per branch on
-    multi-source DAGs), and the final
+    refreshes it (an analytic trace) after every pass whose actions
+    changed the program. ``lp`` and ``caches`` are cross-pass state
+    slots: the parallelism pass records its latest LP solution, the
+    cache pass its cache decisions (closest-to-root first; one per
+    branch on multi-source DAGs), and the final
     :class:`~repro.core.plumber.OptimizationResult` reports both.
     """
 

@@ -39,7 +39,7 @@ from repro.core.cache_planner import CacheDecision
 from repro.core.lp import LPError, LPSolution, solve_allocation
 from repro.core.passes import PassContext, resolve_passes
 from repro.core.rates import PipelineModel, build_model
-from repro.core.rewriter import strip_caches
+from repro.core.rewriter import rewrite, strip_caches
 from repro.core.spec import OptimizeSpec
 from repro.core.trace import PipelineTrace
 from repro.graph.datasets import Pipeline
@@ -165,11 +165,13 @@ class Plumber:
 
         Every pass in ``spec.passes`` (a registry name or an
         :class:`~repro.core.passes.OptimizerPass` object) is asked to
-        ``plan`` against the current model; planned actions are applied
-        through the rewriter and the pipeline is re-traced before the
-        next pass runs, for ``spec.iterations`` rounds. Caches draw on a
-        fresh :class:`MemoryBudget` of ``spec.memory_bytes`` (default:
-        the machine's memory).
+        ``plan`` against the current model, for ``spec.iterations``
+        rounds. A pass's whole action list is applied as one
+        :func:`~repro.core.rewriter.rewrite`, and the pipeline is
+        re-traced before the next pass runs only when that rewrite
+        changed the program. Caches draw on a fresh
+        :class:`MemoryBudget` of ``spec.memory_bytes`` (default: the
+        machine's memory).
 
         The planning traces come from the ``"analytic"`` backend, under
         the spec's trace window and granularity, so the plans are those
@@ -221,16 +223,16 @@ class Plumber:
                 lp_before = ctx.lp
                 start = clock()
                 actions = opt_pass.plan(ctx)
-                if actions:
-                    for action in actions:
-                        current = action.apply(current)
-                        decisions.append(action.description)
-                    # The rewrite changed the pipeline; re-trace so the
-                    # next pass plans against up-to-date rates. (Tracing
-                    # is deterministic, so skipping the re-trace when
-                    # nothing changed is observably identical and much
-                    # cheaper.) The re-trace wallclock is charged to the
-                    # acting pass: its plan forced the measurement.
+                decisions.extend(action.description for action in actions)
+                rewritten = rewrite(current, actions)
+                if rewritten is not current:
+                    # Re-trace so the next pass plans against current
+                    # rates. Tracing is deterministic, so an unchanged
+                    # program (say, a parallelism plan that repeats the
+                    # current values) keeps its model. The re-trace
+                    # wallclock is charged to the acting pass: its plan
+                    # forced the measurement.
+                    current = rewritten
                     ctx.model = self._traced_model(planner, current, config)
                 seconds = clock() - start
                 after = ctx.model.observed_throughput

@@ -29,10 +29,10 @@ serialization, and both :mod:`repro.graph.serialize` and
 A :class:`Pipeline` is a snapshot of its graph's *structure*: which
 nodes it holds and how they connect are indexed once, when it is built.
 Node attributes that are not structure (parallelism above all) may be
-changed in place, as :func:`repro.core.rewriter.set_parallelism` does on
-its clone. Changing structure — a node's ``inputs``, a node's name, the
-root — means building a new :class:`Pipeline`, as the rewriter's
-``insert_after`` and ``remove_node`` do. Execution state lives in
+changed in place, as :func:`repro.core.rewriter.rewrite` does on its
+clone. Changing structure — a node's ``inputs``, a node's name, the
+root — means building a new :class:`Pipeline`, as the rewriter does
+after an insert or a removal. Execution state lives in
 :mod:`repro.runtime`.
 """
 
@@ -575,6 +575,11 @@ class Pipeline:
     def tunables(self) -> List[DatasetNode]:
         """Nodes whose parallelism a tuner may rewrite."""
         return [n for n in self._order if n.tunable]
+
+    @property
+    def parents(self) -> Dict[str, DatasetNode]:
+        """Name → consumer mapping (the root has no entry)."""
+        return dict(self._parents)
 
     def parent_of(self, name: str) -> Optional[DatasetNode]:
         """The unique consumer of node ``name`` (``None`` for the root)."""

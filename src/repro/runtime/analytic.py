@@ -274,10 +274,11 @@ def _equilibrium_caps(
     filling at different times. Labels are ``stage:<node>``, ``cpu``,
     ``disk`` and ``consumer``.
     """
-    subtrees = _cache_subtrees(models)
     free: set = set()
-    for cache_name in served_caches:
-        free |= subtrees.get(cache_name, set())
+    if served_caches:
+        subtrees = _cache_subtrees(models)
+        for cache_name in served_caches:
+            free |= subtrees.get(cache_name, set())
     caps: Dict[str, float] = {}
     cpu_demand = 0.0
     disk_bytes = 0.0

@@ -188,34 +188,37 @@ def size_chunks(
 
     The models are :func:`~repro.runtime.analytic.fill_caps`'s (traced
     overhead, chunk floor); the analytic backend re-prices them for its
-    run instead of building its own. They are ``None`` for an explicit
-    granularity or an unmodellable structure. Both backends size chunks
-    here, so a given :class:`RunConfig` always means the same chunking
-    regardless of how the trace is acquired.
+    run instead of building its own. The floor and the visit ratios (the
+    models' ``visit``) are computed once here. The models are ``None``
+    for an explicit granularity or an unmodellable structure. Both
+    backends size chunks here, so a given :class:`RunConfig` always
+    means the same chunking regardless of how the trace is acquired.
     """
     if config.granularity:
         return config.granularity, None
     # Imported here: the analytic backend imports this module.
-    from repro.runtime.analytic import _equilibrium_caps, _fill_models
+    from repro.runtime.analytic import _build_node_models, _equilibrium_caps
 
     floor = _granularity_floor(pipeline)
     try:
-        models = _fill_models(pipeline, machine)
+        models = _build_node_models(
+            pipeline, machine,
+            machine.iterator_overhead + machine.tracer_overhead, floor,
+        )
         caps = _equilibrium_caps(
             models, machine, config.consumer.step_seconds_per_element
         )
     except (ValueError, KeyError):  # unmodellable structure: keep floor
         return floor, None
     rate = min(caps.values(), default=math.inf)
-    ratios = pipeline.visit_ratios()
     source_elements = sum(
-        ratios[s.name] for s in pipeline.sources()
-        if math.isfinite(ratios[s.name])
+        m.visit for m in models
+        if isinstance(m.node, InterleaveSourceNode) and math.isfinite(m.visit)
     )
     if not (math.isfinite(rate) and rate > 0 and source_elements > 0):
         return floor, models
     produced = config.duration * rate * source_elements
-    stages = len(ratios) + 1  # +1 for the consumer
+    stages = len(models) + 1  # +1 for the consumer
     events = produced * stages * _EVENTS_PER_CHUNK
     need = math.ceil(events / (config.event_budget or DEFAULT_EVENT_BUDGET))
     # Timing-resolution cap: at least ~8 chunks must reach the root per

@@ -393,6 +393,47 @@ class TestPlanAnalyticallyCertifyOnce:
         assert result.pipeline.node("m_heavy").parallelism > 1
 
 
+class TestOneRewritePerPass:
+    """Each pass's action list is one rewrite: one clone when it changes
+    the program, none (and no re-trace) when it does not."""
+
+    def test_clones_and_traces_only_for_changed_programs(
+        self, small_catalog, test_machine, counted, monkeypatch
+    ):
+        from repro.graph.datasets import Pipeline
+        from tests.test_core_passes import stacked_prefetch_pipeline
+
+        clone = Pipeline.clone
+        clones = []
+
+        def spy(pipeline):
+            clones.append(pipeline)
+            return clone(pipeline)
+
+        monkeypatch.setattr(Pipeline, "clone", spy)
+        plumber = Plumber(test_machine, spec=OptimizeSpec(
+            backend="analytic", passes=("parallelism", "fuse")))
+        result = plumber.optimize(stacked_prefetch_pipeline(small_catalog))
+        # iter0: the LP widens the map and fuse removes two of the
+        # three stacked buffers (two actions, one rewrite); iter1: the
+        # LP repeats its plan, which changes nothing.
+        plan = "parallelism {'m': 8, 'src': 1}"
+        assert [d.split(" (LP")[0] for d in result.decisions] == [
+            f"iter0: {plan}",
+            "iter0: fuse prefetch pf_c into pf_b (buffer 8)",
+            "iter0: fuse prefetch pf_a into pf_b (buffer 8)",
+            f"iter1: {plan}",
+        ]
+        assert [(e["pass"], e["actions"]) for e in result.pass_telemetry] \
+            == [("parallelism", 1), ("fuse", 2),
+                ("parallelism", 1), ("fuse", 0)]
+        repeat = result.pass_telemetry[2]
+        assert repeat["throughput_after"] == repeat["throughput_before"]
+        changed = 2
+        assert len(clones) == changed
+        assert counted["analytic"].calls == 1 + changed
+
+
 class SerializeMaps:
     """A pessimizing pass: every map back to parallelism 1."""
 

@@ -93,3 +93,36 @@ class TestStripCaches:
 
     def test_noop_without_cache(self, simple_pipeline):
         assert strip_caches(simple_pipeline) is simple_pipeline
+
+    def test_strips_two_branch_caches_in_one_rewrite(self, monkeypatch):
+        from repro.graph.builder import from_tfrecords, zip_datasets
+        from repro.graph.datasets import Pipeline
+        from repro.graph.serialize import pipeline_to_json
+        from repro.io.filesystem import FileCatalog
+        from tests.conftest import make_udf
+
+        branches = [
+            from_tfrecords(FileCatalog(f"cat{b}", 4, 10.0, 100.0),
+                           name=f"src{b}")
+            .map(make_udf(f"op{b}"), parallelism=2, name=f"map{b}")
+            for b in range(2)
+        ]
+        dag = zip_datasets(branches, name="merge").batch(4, name="batch") \
+            .build("two_branch")
+        cached = insert_cache_after(dag, "map0")
+        cached = insert_cache_after(cached, "src1")
+        assert sum(isinstance(n, CacheNode) for n in cached.iter_nodes()) == 2
+        before = pipeline_to_json(cached)
+
+        clone = Pipeline.clone
+        clones = []
+
+        def spy(pipeline):
+            clones.append(pipeline)
+            return clone(pipeline)
+
+        monkeypatch.setattr(Pipeline, "clone", spy)
+        stripped = strip_caches(cached)
+        assert len(clones) == 1
+        assert pipeline_to_json(stripped) == pipeline_to_json(dag)
+        assert pipeline_to_json(cached) == before

@@ -4,6 +4,7 @@ its HiGHS oracle, the disk curve fit, queues, and the subsample
 estimator."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +14,23 @@ from hypothesis import strategies as st
 
 from repro.core.disk_planner import fit_piecewise
 from repro.core.lp import LPError, solve_allocation
+from repro.core.passes import (
+    InsertCache,
+    InsertPrefetch,
+    RemovePipelineNode,
+    SetParallelism,
+)
+from repro.core.rewriter import RewriteError, insert_prefetch_after, rewrite
 from repro.graph.builder import (
     from_tfrecords,
     interleave_datasets,
     zip_datasets,
 )
-from repro.graph.serialize import pipeline_from_dict, pipeline_to_dict
+from repro.graph.serialize import (
+    pipeline_from_dict,
+    pipeline_to_dict,
+    pipeline_to_json,
+)
 from repro.graph.signature import structural_signature
 from repro.graph.udf import CostModel, UserFunction
 from repro.host.disk import DiskSpec
@@ -350,6 +362,132 @@ class TestDagProperties:
 
         assert structural_signature(variant(True)) != \
             structural_signature(variant(False))
+
+
+#: the message each injected fault raises
+REWRITE_FAULTS = {
+    "missing": r"^no node named 'ghost' to insert after$",
+    "duplicate": r"^new node name '.+' already exists$",
+    "multi_input": r"^cannot remove node 'merge' with [23] inputs$",
+}
+
+
+@st.composite
+def rewrite_cases(draw):
+    """A chain or DAG pipeline carrying a 3-high prefetch stack and a
+    random action list over it: no-op and ``None -> 1`` parallelism
+    sets, random sets, two inserts above one target, an insert above
+    the root, a cache, and the stack's removal. Returns ``(pipeline,
+    actions, fault)``; ``fault`` is ``None`` or ``(position, action,
+    kind)``, one action of a :data:`REWRITE_FAULTS` kind to insert."""
+    base = draw(st.one_of(chain_pipelines(), dag_pipelines()))
+    plain = sorted(n for n in base.nodes if n != "repeat")
+    target = draw(st.sampled_from(plain))
+    pipeline = base
+    for k in range(3):
+        pipeline = insert_prefetch_after(pipeline, target, 2 + k,
+                                         name=f"stack{k}")
+    tunables = pipeline.tunables()
+    if draw(st.booleans()):
+        draw(st.sampled_from(tunables)).parallelism = None
+
+    def step(kind: str, i: int) -> list:
+        if kind == "same":
+            return [SetParallelism(description=kind, plan={
+                n.name: n.parallelism for n in tunables
+                if n.parallelism is not None})]
+        if kind == "none_to_one":
+            return [SetParallelism(description=kind, plan={
+                n.name: 1 for n in tunables if n.parallelism is None})]
+        if kind == "set":
+            node = draw(st.sampled_from(tunables))
+            return [SetParallelism(description=kind, plan={
+                node.name: draw(st.integers(1, 8))})]
+        if kind == "two_above":
+            above = draw(st.sampled_from(sorted(base.nodes)))
+            return [InsertPrefetch(description=kind, target=above,
+                                   name=f"{kind}{i}{side}")
+                    for side in "ab"]
+        if kind == "above_root":
+            return [InsertPrefetch(description=kind,
+                                   target=pipeline.root.name,
+                                   name=f"{kind}{i}")]
+        if kind == "cache":
+            return [InsertCache(description=kind,
+                                target=draw(st.sampled_from(plain)),
+                                name=f"{kind}{i}")]
+        order = draw(st.permutations([f"stack{k}" for k in range(3)]))
+        return [RemovePipelineNode(description=kind, target=name)
+                for name in order]
+
+    kinds = draw(st.lists(st.sampled_from(
+        ["same", "none_to_one", "set", "two_above", "above_root", "cache",
+         "drop_stack"]), max_size=6))
+    if "drop_stack" in kinds:  # the stack can be removed once
+        first = kinds.index("drop_stack") + 1
+        kinds = kinds[:first] + [k for k in kinds[first:] if k != "drop_stack"]
+    actions = [a for i, kind in enumerate(kinds) for a in step(kind, i)]
+    kind = draw(st.sampled_from([None, *REWRITE_FAULTS]))
+    bad = {
+        "missing": InsertPrefetch(description="missing", target="ghost"),
+        "duplicate": InsertPrefetch(description="duplicate", target=target,
+                                    name=base.root.name),
+        "multi_input": RemovePipelineNode(description="multi_input",
+                                          target="merge"),
+    }
+    if kind is None or (kind == "multi_input" and "merge" not in base.nodes):
+        return pipeline, actions, None
+    position = draw(st.integers(0, len(actions)))
+    return pipeline, actions, (position, bad[kind], kind)
+
+
+def one_at_a_time(pipeline, actions):
+    """Each action applied as its own rewrite: every intermediate
+    program, or the first :class:`RewriteError` raised."""
+    programs = [pipeline_to_json(pipeline)]
+    current = pipeline
+    try:
+        for action in actions:
+            current = action.apply(current)
+            programs.append(pipeline_to_json(current))
+    except RewriteError as exc:
+        return exc
+    return programs
+
+
+class TestRewriteProperties:
+    """One :func:`rewrite` of an action list against the same actions
+    applied one at a time."""
+
+    @given(rewrite_cases())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_one_rewrite_matches_one_action_at_a_time(self, case):
+        pipeline, actions, fault = case
+        before = pipeline_to_json(pipeline)
+        expected = one_at_a_time(pipeline, actions)
+        if isinstance(expected, RewriteError):
+            with pytest.raises(RewriteError) as caught:
+                rewrite(pipeline, actions)
+            assert str(caught.value) == str(expected)
+        else:
+            result = rewrite(pipeline, actions)
+            assert pipeline_to_json(result) == expected[-1]
+            unchanged = all(a == b for a, b in zip(expected, expected[1:]))
+            assert (result is pipeline) == unchanged
+        assert pipeline_to_json(pipeline) == before
+        if fault is None:
+            return
+        position, bad, kind = fault
+        faulty = actions[:position] + [bad] + actions[position:]
+        error = one_at_a_time(pipeline, faulty)
+        assert isinstance(error, RewriteError)
+        if not isinstance(expected, RewriteError):
+            assert re.match(REWRITE_FAULTS[kind], str(error))
+        with pytest.raises(RewriteError) as caught:
+            rewrite(pipeline, faulty)
+        assert str(caught.value) == str(error)
+        assert pipeline_to_json(pipeline) == before
 
 
 class TestDiskCurveProperties:
