@@ -54,10 +54,6 @@ class TuningRun:
     steps: List[TuningStep] = field(default_factory=list)
 
     @property
-    def observed_series(self) -> List[float]:
-        return [s.observed for s in self.steps]
-
-    @property
     def final_observed(self) -> float:
         return self.steps[-1].observed if self.steps else 0.0
 

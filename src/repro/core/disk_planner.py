@@ -38,12 +38,6 @@ class DiskCurve:
         """Peak measured bandwidth."""
         return max(self.bandwidths) if self.bandwidths else 0.0
 
-    def bandwidth_at(self, streams: float) -> float:
-        """Fitted bandwidth at a given parallelism."""
-        if not self.segments:
-            return 0.0
-        return min(s * streams + c for s, c in self.segments)
-
     def minimal_saturating_parallelism(self, fraction: float = 0.95) -> int:
         """Smallest measured parallelism achieving ``fraction`` of peak."""
         target = self.max_bandwidth * fraction

@@ -11,14 +11,13 @@ handful of facts about them (§4.4, §B.1):
 * whether the function (transitively) touches a random seed, which makes
   its output uncacheable.
 
-:class:`UserFunction` carries exactly those facts plus an optional real
-Python callable so the same graph runs on the in-process executor.
+:class:`UserFunction` carries exactly those facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ class UserFunction:
     calls:
         Child functions invoked by this one; used for the transitive
         randomness closure.
-    fn:
-        Optional real Python callable for the in-process executor.
     """
 
     name: str
@@ -92,7 +89,6 @@ class UserFunction:
     examples_ratio: float = 1.0
     accesses_seed: bool = False
     calls: Sequence["UserFunction"] = field(default_factory=tuple)
-    fn: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -114,7 +110,7 @@ class UserFunction:
         return input_bytes * self.size_ratio
 
     def to_dict(self) -> dict:
-        """Serialize to a JSON-compatible dict (callables are dropped)."""
+        """Serialize to a JSON-compatible dict."""
         return {
             "name": self.name,
             "cpu_seconds": self.cost.cpu_seconds,
@@ -141,8 +137,3 @@ class UserFunction:
             accesses_seed=data.get("accesses_seed", False),
             calls=tuple(cls.from_dict(c) for c in data.get("calls", ())),
         )
-
-
-def identity_udf(name: str = "identity") -> UserFunction:
-    """A zero-cost pass-through UDF, useful in tests."""
-    return UserFunction(name=name, fn=lambda x: x)

@@ -84,21 +84,6 @@ class DiskSpec:
         """Peak aggregate bandwidth (the last curve point)."""
         return self.curve[-1][1]
 
-    def saturation_parallelism(self, fraction: float = 0.99) -> float:
-        """Smallest stream count achieving ``fraction`` of peak bandwidth.
-
-        This is the quantity Plumber's disk planner solves for: "a
-        minimal parallelism to hit max bandwidth".
-        """
-        target = self.max_bandwidth * fraction
-        xs = [p[0] for p in self.curve]
-        ys = [p[1] for p in self.curve]
-        for (x1, y1), (x2, y2) in zip(self.curve, self.curve[1:]):
-            if y2 >= target and y2 > y1:
-                # Linear interpolation within the segment.
-                return x1 + (target - y1) * (x2 - x1) / (y2 - y1)
-        return float(xs[-1]) if ys[-1] >= target else float(xs[-1])
-
     def segments(self) -> Sequence[Tuple[float, float]]:
         """Affine segments ``(slope, intercept)`` covering the curve,
         for direct inclusion as LP constraints (``bw <= a*θ + c``)."""

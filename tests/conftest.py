@@ -65,7 +65,6 @@ def make_udf(
     size_ratio: float = 1.0,
     random: bool = False,
     internal: float = 1.0,
-    fn=None,
 ) -> UserFunction:
     """Shorthand UDF constructor used across the suite."""
     return UserFunction(
@@ -73,7 +72,6 @@ def make_udf(
         cost=CostModel(cpu_seconds=cpu, internal_parallelism=internal),
         size_ratio=size_ratio,
         accesses_seed=random,
-        fn=fn,
     )
 
 

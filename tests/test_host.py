@@ -34,12 +34,6 @@ class TestDiskSpec:
         with pytest.raises(ValueError, match="concave"):
             DiskSpec("d", curve=((1.0, 10.0), (2.0, 11.0), (3.0, 50.0)))
 
-    def test_saturation_parallelism(self):
-        spec = DiskSpec("d", curve=((1.0, 100.0), (4.0, 400.0), (8.0, 440.0)))
-        sat = spec.saturation_parallelism(fraction=0.9)
-        # 90% of 440 = 396 is reached just before 4 streams.
-        assert 3.5 <= sat <= 4.5
-
     def test_segments_cover_curve(self):
         spec = DiskSpec("d", curve=((1.0, 100.0), (4.0, 400.0), (8.0, 440.0)))
         segs = spec.segments()
